@@ -8,6 +8,9 @@ oracles and population audit (:mod:`polyads.monomials`), the closed-form
 counting theorems and frozen reference tables (:mod:`polyads.counting`),
 Fock-space assembly and block diagonalization (:mod:`polyads.quantum`),
 and a command line front end (:mod:`polyads.cli`).
+
+The :mod:`polyads.quantum` names load on first access, so numpy is imported
+only by code that builds spectra.
 """
 
 from .counting import (
@@ -33,21 +36,6 @@ from .monomials import (
     monomials_to_json,
     sort_monomials,
 )
-from .quantum import (
-    FockState,
-    HamiltonianModel,
-    PolyadBlock,
-    TermSpec,
-    apply_term,
-    build_block,
-    census_terms,
-    cloh_model,
-    conserved_lattice,
-    dunham_energy,
-    eigenvalues,
-    polyad_lattice,
-    spectrum,
-)
 from .resonance import (
     GeneratorSet,
     PhaseCurvePoint,
@@ -63,6 +51,31 @@ from .resonance import (
 from .zpoly import ComplexRational, ZMonomial, ZPolynomial, poisson_bracket
 
 __version__ = "0.1.0"
+
+_QUANTUM_NAMES = frozenset({
+    "FockState",
+    "HamiltonianModel",
+    "PolyadBlock",
+    "TermSpec",
+    "apply_term",
+    "build_block",
+    "census_terms",
+    "cloh_model",
+    "conserved_lattice",
+    "dunham_energy",
+    "eigenvalues",
+    "polyad_lattice",
+    "spectrum",
+})
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM_NAMES:
+        from . import quantum
+
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ComplexRational",

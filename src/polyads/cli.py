@@ -11,11 +11,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .counting import totals, verify_tables
 from .monomials import (
@@ -218,12 +219,19 @@ def serialize_model(model: "HamiltonianModel", comment: Optional[str] = None) ->
 # -- output plumbing -------------------------------------------------------
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out_path: Optional[str]) -> Iterator[TextIO]:
+    """The file at ``out_path``, or stdout when no path is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path: Optional[str]) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _kv_table(pairs: list[tuple[str, object]]) -> str:
@@ -258,10 +266,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ordered = sort_monomials(monos)
     if args.format == "json":
-        _emit(monomials_to_json(ordered) + "\n", args.out)
+        _emit(monomials_to_json(monos) + "\n", args.out)
     else:
+        ordered = sort_monomials(monos)
         body = "".join(m.label() + "\n" for m in ordered)
         _emit(body + f"total {len(ordered)}\n", args.out)
     return 0
@@ -319,7 +327,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     from .quantum import spectrum, write_spectrum_csv
-    import io
 
     try:
         model = parse_model_file(args.model)
@@ -334,16 +341,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        payload = [
-            {"P": P, "n3": n3, "index": idx, "energy_cm1": energy}
-            for P, n3, idx, energy in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        write_spectrum_csv(buf, rows)
-        _emit(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = [
+                {"P": P, "n3": n3, "index": idx, "energy_cm1": energy}
+                for P, n3, idx, energy in rows
+            ]
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            write_spectrum_csv(fh, rows)
     summary = f"blocks {len(blocks)} levels {len(rows)}\n"
     (sys.stdout if args.out else sys.stderr).write(summary)
     return 0

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monomials import brute_force_delta1, brute_force_delta2
-
 
 def _decompose(N: int, pq: int, offset: int) -> tuple[int, int]:
     # N = k'(p+q) + offset + i with i in [0, p+q-1]; valid only for k' >= 1

@@ -166,17 +166,29 @@ def _number_factor(f: FockState, exps: Sequence[int]) -> float:
     return out
 
 
-def term_shift(t: TermSpec, spec: ResonanceSpec) -> Optional[tuple[int, ...]]:
-    """Occupation change of the raising branch; None for diagonal terms."""
+def ladder_form(t: TermSpec, spec: ResonanceSpec
+                ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(raise, lower, num_exps) of the written (raising) member of a term.
+
+    A dunham term has an empty ladder. A coupling term raises mode 1 by
+    p m and lowers mode 2 by q m; an extra term carries its own ladder and
+    no number string.
+    """
     n = spec.n
     if t.kind == "dunham":
-        return None
+        return (0,) * n, (0,) * n, t.num_exps
     if t.kind == "coupling":
-        s = [0] * n
-        s[0] = spec.p * t.m_exp
-        s[1] = -spec.q * t.m_exp
-        return tuple(s)
-    return tuple(r - l for r, l in zip(t.raise_exps, t.lower_exps))
+        rest = (0,) * (n - 2)
+        return (spec.p * t.m_exp, 0) + rest, (0, spec.q * t.m_exp) + rest, t.num_exps
+    return t.raise_exps, t.lower_exps, ()
+
+
+def term_shift(t: TermSpec, spec: ResonanceSpec) -> Optional[tuple[int, ...]]:
+    """Occupation change of the raising branch; None for diagonal terms."""
+    if t.kind == "dunham":
+        return None
+    raise_v, lower_v, _ = ladder_form(t, spec)
+    return tuple(r - l for r, l in zip(raise_v, lower_v))
 
 
 def raising_branch(t: TermSpec, f: FockState, spec: ResonanceSpec
@@ -188,21 +200,15 @@ def raising_branch(t: TermSpec, f: FockState, spec: ResonanceSpec
     """
     if t.kind == "dunham":
         return None
-    if t.kind == "coupling":
-        digits = _number_factor(f, t.num_exps) if t.num_exps else 1.0
-        if digits == 0.0:
-            return None
-        n = spec.n
-        raise_v = [0] * n
-        lower_v = [0] * n
-        raise_v[0] = spec.p * t.m_exp
-        lower_v[1] = spec.q * t.m_exp
-        hop = _ladder(f, raise_v, lower_v)
-        if hop is None:
-            return None
-        target, amp = hop
-        return target, digits * amp
-    return _ladder(f, t.raise_exps, t.lower_exps)
+    raise_v, lower_v, num_exps = ladder_form(t, spec)
+    digits = _number_factor(f, num_exps)
+    if digits == 0.0:
+        return None
+    hop = _ladder(f, raise_v, lower_v)
+    if hop is None:
+        return None
+    target, amp = hop
+    return target, digits * amp
 
 
 def apply_term(t: TermSpec, f: FockState, spec: ResonanceSpec
@@ -223,22 +229,13 @@ def apply_term(t: TermSpec, f: FockState, spec: ResonanceSpec
     up = raising_branch(t, f, spec)
     if up is not None:
         out.append(up)
-    if t.kind == "coupling":
-        n = spec.n
-        raise_v = [0] * n
-        lower_v = [0] * n
-        lower_v[0] = spec.p * t.m_exp
-        raise_v[1] = spec.q * t.m_exp
-        hop = _ladder(f, raise_v, lower_v)
-        if hop is not None:
-            target, amp = hop
-            digits = _number_factor(target, t.num_exps) if t.num_exps else 1.0
-            if digits != 0.0:
-                out.append((target, digits * amp))
-    else:
-        hop = _ladder(f, t.lower_exps, t.raise_exps)
-        if hop is not None:
-            out.append(hop)
+    raise_v, lower_v, num_exps = ladder_form(t, spec)
+    hop = _ladder(f, lower_v, raise_v)
+    if hop is not None:
+        target, amp = hop
+        digits = _number_factor(target, num_exps)
+        if digits != 0.0:
+            out.append((target, digits * amp))
     return out
 
 
@@ -310,15 +307,55 @@ class PolyadBlock:
     eigenvalues: tuple[float, ...]
 
 
+# Largest caps box build_block will allocate: every candidate occupation
+# vector is one int64 row, about 100 MB at n = 3.
+MAX_BOX_STATES = 2 ** 22
+
+
+def _box_dims(caps: Sequence[int]) -> list[int]:
+    """Axis lengths of the caps box; rejects a box over MAX_BOX_STATES."""
+    dims = [max(c, -1) + 1 for c in caps]
+    size = math.prod(dims)
+    if size > MAX_BOX_STATES:
+        raise ValueError(f"caps {tuple(caps)} span {size} candidate states, "
+                         f"over the limit of {MAX_BOX_STATES}")
+    return dims
+
+
+def _number_factors(occ: np.ndarray, exps: Sequence[int]) -> np.ndarray:
+    """_number_factor over the rows of ``occ``, with the same roundings.
+
+    Powers are repeated products: like float ** int, they are exact while
+    every n_k ** r_k stays below 2 ** 53.
+    """
+    out = np.ones(len(occ))
+    for k, r in enumerate(exps):
+        if r:
+            base = occ[:, k].astype(float)
+            power = base
+            for _ in range(r - 1):
+                power = power * base
+            out = out * power
+    return out
+
+
 def build_block(model: HamiltonianModel, label: Sequence[int],
                 caps: Sequence[int],
                 lattice: Sequence[Sequence[int]] | None = None) -> PolyadBlock:
     """Assemble the symmetric matrix for one label under occupation caps.
 
     Basis states are every occupation vector below the caps whose lattice
-    label matches, in lexicographic order. Matrix elements of terms whose
-    raising branch leaves the block (a shift breaking the labeling, or an
-    image beyond the caps) are dropped by the projection.
+    label matches, in lexicographic order: the rows of the caps box whose
+    label equals ``label``. Caps spanning more than MAX_BOX_STATES
+    candidates raise ValueError before anything is allocated.
+
+    Each term is applied to the whole basis at once. Targets are found by
+    binary search on mixed-radix keys of the states; elements of terms
+    whose raising branch leaves the block (a shift breaking the labeling,
+    or an image beyond the caps) are dropped by the projection. Ladder
+    amplitudes are square roots of exact integer products, and every
+    element sums its contributions in the order of a scan by source state
+    then term, so the matrix equals the one assembled state by state.
     """
     spec = model.spec
     n = spec.n
@@ -329,41 +366,60 @@ def build_block(model: HamiltonianModel, label: Sequence[int],
     label = tuple(label)
     if len(label) != len(lattice):
         raise ValueError("label length must match the lattice")
+    dims = _box_dims(caps)
 
-    states: list[FockState] = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == n:
-            if state_label(prefix, lattice) == label:
-                states.append(prefix)
-            return
-        for occ in range(caps[len(prefix)] + 1):
-            rec(prefix + (occ,))
-
-    rec(())
-    if not states:
+    box = np.indices(dims).reshape(n, -1).T
+    lat = np.array(lattice, dtype=np.int64).reshape(len(lattice), n)
+    basis = box[np.all(box @ lat.T == np.array(label, dtype=np.int64), axis=1)]
+    if not len(basis):
         raise ValueError(f"no basis states for label {label}")
-    index = {f: i for i, f in enumerate(states)}
-    dim = len(states)
-    mat = np.zeros((dim, dim))
-    for i, f in enumerate(states):
-        for t in model.terms:
-            if t.coeff == 0.0:
-                continue
-            if t.kind == "dunham":
-                mat[i, i] += t.coeff * _number_factor(f, t.num_exps)
-                continue
-            up = raising_branch(t, f, spec)
-            if up is None:
-                continue
-            target, amp = up
-            j = index.get(target)
-            if j is None:
-                continue  # leaves the block: projected out
-            mat[j, i] += t.coeff * amp
-            mat[i, j] += t.coeff * amp
+    dim = len(basis)
+    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)], dtype=np.int64)
+    keys = basis @ strides  # ascending, as the basis is lexicographic
+
+    diagonal = np.zeros(dim)
+    src_parts, tgt_parts, val_parts = [], [], []
+    for t in model.terms:
+        if t.coeff == 0.0:
+            continue
+        if t.kind == "dunham":
+            diagonal += t.coeff * _number_factors(basis, t.num_exps)
+            continue
+        raise_v, lower_v, num_exps = ladder_form(t, spec)
+        digits = _number_factors(basis, num_exps)
+        target = basis + np.array(term_shift(t, spec))
+        keep = (digits != 0.0) & np.all(basis >= np.array(lower_v), axis=1) \
+            & np.all(target < np.array(dims), axis=1)
+        src = np.flatnonzero(keep)
+        tkeys = target[src] @ strides
+        pos = np.minimum(np.searchsorted(keys, tkeys), dim - 1)
+        hit = keys[pos] == tkeys  # otherwise leaves the block: projected out
+        src, tgt = src[hit], pos[hit]
+        sq = np.ones(len(src), dtype=object)
+        for k in range(n):
+            occ = basis[src, k].astype(object)
+            for j in range(lower_v[k]):
+                sq = sq * (occ - j)
+            for j in range(1, raise_v[k] + 1):
+                sq = sq * (occ - lower_v[k] + j)
+        amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
+        src_parts.append(src)
+        tgt_parts.append(tgt)
+        val_parts.append(t.coeff * (digits[src] * amp))
+
+    mat = np.diag(diagonal)
+    if src_parts:
+        src = np.concatenate(src_parts)
+        # stable: within one source state, terms keep their model order
+        order = np.argsort(src, kind="stable")
+        src, tgt = src[order], np.concatenate(tgt_parts)[order]
+        val = np.concatenate(val_parts)[order]
+        rows = np.stack([tgt, src], axis=1).ravel()
+        cols = np.stack([src, tgt], axis=1).ravel()
+        np.add.at(mat, (rows, cols), np.repeat(val, 2))
     eig = tuple(float(x) for x in np.linalg.eigvalsh(mat))
-    return PolyadBlock(label=label, basis=tuple(states), matrix=mat, eigenvalues=eig)
+    return PolyadBlock(label=label, basis=tuple(map(tuple, basis.tolist())),
+                       matrix=mat, eigenvalues=eig)
 
 
 def eigenvalues(block: PolyadBlock) -> list[float]:
@@ -382,13 +438,16 @@ def spectrum(model: HamiltonianModel, pmax: int, n3max: int
     """All blocks with P <= pmax (and n3 <= n3max for three modes).
 
     Returns the blocks and flat rows (P, n3, index, energy), ordered by
-    label then by ascending energy within the block.
+    label then by ascending energy within the block. Caps whose largest
+    block box is over MAX_BOX_STATES raise ValueError before any block is
+    built.
     """
     spec = model.spec
     if spec.n not in (2, 3):
         raise ValueError("spectrum labeling is defined for 2 or 3 modes")
     if pmax < 0 or n3max < 0:
         raise ValueError("caps are non-negative")
+    _box_dims((pmax // spec.q, pmax // spec.p, n3max)[:spec.n])
     blocks: list[PolyadBlock] = []
     rows: list[tuple[int, int, int, float]] = []
     n3_values = [0] if spec.n == 2 else list(range(n3max + 1))

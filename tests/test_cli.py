@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,6 +243,26 @@ class TestSpectrumCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("pmax,digest", [
+        ("38", "0693708946f111e0313f3928d7be1da792fa133238dd17b810e7ddaaf075a738"),
+        ("80", "96cc5efba4238fab09b3943958b10a5422eb3d8cd45306853d6a8eefbfa864f8"),
+    ], ids=["38-7", "80-7"])
+    def test_csv_digest_pinned(self, capsys, tmp_path, pmax, digest):
+        # digests of the output of the per-state assembly that the
+        # vectorised build_block replaced
+        out_file = tmp_path / "levels.csv"
+        code, _, _ = run(capsys, "spectrum", "--model", str(FIXTURE), "--pmax", pmax,
+                         "--n3max", "7", "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    def test_oversized_caps_exit_code(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--model", str(FIXTURE),
+                             "--pmax", "100000", "--n3max", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("error: caps (100000, 50000, 7) span")
+        assert "candidate states" in err
+
 
 class TestPhaseSpaceCommand:
     def test_unison_curve(self, capsys):
@@ -278,3 +302,26 @@ class TestPackaging:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "85" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["-c", "import polyads.cli"],
+        ["-m", "polyads", "count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
+    ])
+    def test_census_path_leaves_numpy_unloaded(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(polyads.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "polyads.cli" in imported
+        assert "numpy" not in imported and "polyads.quantum" not in imported
+
+    def test_quantum_names_load_on_access(self):
+        from polyads import quantum
+
+        assert polyads.build_block is quantum.build_block
+        for name in polyads.__all__:
+            getattr(polyads, name)
+        with pytest.raises(AttributeError):
+            polyads.no_such_name

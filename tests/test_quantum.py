@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyads.counting import totals
+from polyads import quantum
 from polyads.quantum import (
+    MAX_BOX_STATES,
     HamiltonianModel,
     PolyadBlock,
     TermSpec,
@@ -23,6 +25,7 @@ from polyads.quantum import (
     conserved_lattice,
     dunham_energy,
     eigenvalues,
+    ladder_form,
     polyad_lattice,
     raising_branch,
     spectrum,
@@ -439,3 +442,188 @@ class TestPerturbativeLimit:
             v2 = 2.0 * c * c  # off-diagonal element is sqrt(2) c
             assert lo == pytest.approx(2 * e1 - v2 / gap, abs=8 * v2 * v2 / gap ** 3)
             assert hi == pytest.approx(e2 + v2 / gap, abs=8 * v2 * v2 / gap ** 3)
+
+
+# -- slow oracle: the per-state scan and assembly --------------------------
+
+
+def _reference_block(model, label, caps, lattice=None):
+    """Basis and matrix from a scan of the whole caps box, state by state,
+    applying every term to one state at a time: the assembly that
+    build_block vectorises, kept as its reference."""
+    spec = model.spec
+    n = spec.n
+    if lattice is None:
+        lattice = polyad_lattice(spec)
+    label = tuple(label)
+    states = []
+
+    def rec(prefix):
+        if len(prefix) == n:
+            if state_label(prefix, lattice) == label:
+                states.append(prefix)
+            return
+        for occ in range(caps[len(prefix)] + 1):
+            rec(prefix + (occ,))
+
+    def number_factor(f, exps):
+        out = 1.0
+        for n_k, r in zip(f, exps):
+            if r:
+                out *= float(n_k) ** r
+        return out
+
+    rec(())
+    index = {f: i for i, f in enumerate(states)}
+    mat = np.zeros((len(states), len(states)))
+    for i, f in enumerate(states):
+        for t in model.terms:
+            if t.coeff == 0.0:
+                continue
+            if t.kind == "dunham":
+                mat[i, i] += t.coeff * number_factor(f, t.num_exps)
+                continue
+            up = raising_branch(t, f, spec)
+            if up is None:
+                continue
+            target, amp = up
+            j = index.get(target)
+            if j is None:
+                continue
+            mat[j, i] += t.coeff * amp
+            mat[i, j] += t.coeff * amp
+    return tuple(states), mat
+
+
+def _assert_matches_reference(model, label, caps, lattice=None):
+    states, mat = _reference_block(model, label, caps, lattice)
+    block = build_block(model, label, caps, lattice)
+    assert block.basis == states
+    assert np.array_equal(block.matrix, mat)
+    assert np.array_equal(np.array(block.eigenvalues), np.linalg.eigvalsh(mat))
+
+
+def _seeded_model(spec, order, seed, extras=()):
+    """Extra ladder pairs, then every census slot of ``spec`` at ``order``,
+    all with seeded nonzero coefficients. Listing the extras first makes an
+    element fed by an extra pair and by couplings of the opposite shift sum
+    in an order that differs from term order."""
+    rng = random.Random(seed)
+    terms = []
+    for raise_v, lower_v in extras:
+        value = rng.uniform(-1.0, 1.0)
+        terms.append(TermSpec(kind="extra", raise_exps=raise_v, lower_exps=lower_v,
+                              coeff=value, coeff_text=repr(value)))
+    for slot in census_terms(spec, order):
+        degree = sum(slot.num_exps) + slot.m_exp
+        value = rng.uniform(-1.0, 1.0) * 10.0 ** (3 - degree)
+        terms.append(replace(slot, coeff=value, coeff_text=repr(value)))
+    return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
+
+
+class TestBuildBlockOracle:
+    def test_worked_model_spectrum_blocks(self):
+        m = cloh_model()
+        for P in range(0, 25):
+            for n3 in range(0, 4):
+                _assert_matches_reference(m, (P, n3), (P, P // 2, n3))
+
+    def test_worked_model_wide_caps(self):
+        m = cloh_model()
+        for label in [(0, 0), (9, 1), (14, 2), (21, 3)]:
+            _assert_matches_reference(m, label, (40, 20, 8))
+
+    def test_seeded_two_mode_order_12(self):
+        m = _seeded_model(ResonanceSpec(n=2, p=2, q=1), 12, seed=5)
+        assert all(t.coeff != 0.0 for t in m.terms)
+        for P in range(0, 61, 3):
+            _assert_matches_reference(m, (P,), (P, P // 2))
+
+    def test_four_modes(self):
+        spec = ResonanceSpec(n=4, p=2, q=1)
+        m = _seeded_model(spec, 8, seed=9, extras=[((0, 0, 1, 0), (0, 0, 0, 1))])
+        # the extra pair moves a quantum from mode 4 to mode 3, so blocks
+        # labelled by the polyad lattice drop it; a merged lattice keeps it
+        merged = [(1, 2, 0, 0), (0, 0, 1, 1)]
+        for P in range(0, 9):
+            for n3 in range(0, 3):
+                _assert_matches_reference(m, (P, n3, 1), (P, P // 2, n3, 1))
+                _assert_matches_reference(m, (P, n3), (P, P // 2, n3, n3), merged)
+
+    def test_extra_opposite_to_coupling(self):
+        # the extra pair lowers mode 1 by 2 and raises mode 2 by 1: the
+        # reverse of the Fermi shift, so both write the same elements
+        m = _seeded_model(SPEC21, 10, seed=2,
+                          extras=[((0, 1, 0), (2, 0, 0)), ((0, 2, 0), (4, 0, 0))])
+        shifts = {term_shift(t, SPEC21) for t in m.off_diagonal_terms()}
+        assert {(2, -1, 0), (-2, 1, 0)} <= shifts
+        for P in range(0, 20, 2):
+            _assert_matches_reference(m, (P, 1), (P, P // 2, 1))
+
+    def test_tight_caps_clip_targets(self):
+        m = cloh_model()
+        for caps in [(8, 2, 1), (3, 4, 1), (0, 6, 2), (5, 1, 0)]:
+            for P in range(0, 13):
+                for n3 in range(0, caps[2] + 1):
+                    if _reference_block(m, (P, n3), caps)[0]:
+                        _assert_matches_reference(m, (P, n3), caps)
+                    else:
+                        with pytest.raises(ValueError, match="no basis states"):
+                            build_block(m, (P, n3), caps)
+
+    def test_clipped_target_on_a_basis_key(self):
+        # 1:1 with mode 2 capped at c: the clipped image (n1 - 1, c + 1)
+        # of (n1, c) has the box key of (n1, 0) and the same label
+        m = _seeded_model(ResonanceSpec(n=2, p=1, q=1), 6, seed=8,
+                          extras=[((0, 1), (1, 0))])
+        for P in range(1, 10):
+            for cap2 in range(0, 3):
+                _assert_matches_reference(m, (P,), (P, cap2))
+
+    def test_vanishing_number_strings(self):
+        # n3 = 0 zeroes every coupling carrying a mode-3 number factor and
+        # the dunham terms on mode 3; n1 = 0 states zero the n1 strings
+        m = _seeded_model(SPEC21, 10, seed=4)
+        for P in range(0, 16):
+            _assert_matches_reference(m, (P, 0), (P, P // 2, 0))
+        _assert_matches_reference(m, (1, 2), (1, 0, 2))
+
+    def test_conserved_lattice_labels(self):
+        m = cloh_model()
+        lattice = conserved_lattice(m)
+        assert lattice == [(1, 2, 6)]
+        for L in range(0, 31):
+            _assert_matches_reference(m, (L,), (L, L // 2, L // 6), lattice)
+
+    def test_amplitudes_beyond_int64(self):
+        # falling times rising products pass 2**63 at these occupations
+        spec = ResonanceSpec(n=2, p=2, q=1)
+        m = HamiltonianModel(spec=spec, order=12, terms=(
+            TermSpec(kind="coupling", m_exp=4, num_exps=(0, 0), coeff=1e-9),))
+        raise_v, lower_v, _ = ladder_form(m.terms[0], spec)
+        assert (raise_v, lower_v) == ((8, 0), (0, 4))
+        _assert_matches_reference(m, (160,), (160, 80))
+
+
+class TestBoxGuard:
+    class Allocated(Exception):
+        pass
+
+    @pytest.fixture
+    def no_box(self, monkeypatch):
+        def indices(*args, **kwargs):
+            raise self.Allocated
+
+        monkeypatch.setattr(quantum.np, "indices", indices)
+
+    def test_oversized_caps_rejected_before_allocation(self, no_box):
+        with pytest.raises(ValueError, match="candidate states"):
+            build_block(cloh_model(), (0, 0), [MAX_BOX_STATES, 0, 0])
+        with pytest.raises(ValueError, match="candidate states"):
+            build_block(cloh_model(), (0, 0), [2 ** 30, 2 ** 30, 2 ** 30])
+        with pytest.raises(ValueError, match="candidate states"):
+            spectrum(cloh_model(), pmax=10 ** 6, n3max=7)
+
+    def test_box_at_the_limit_is_allocated(self, no_box):
+        with pytest.raises(self.Allocated):
+            build_block(cloh_model(), (0, 0), [MAX_BOX_STATES - 1, 0, 0])
