@@ -63,7 +63,6 @@ _QUANTUM_NAMES = frozenset({
     "cloh_model",
     "conserved_lattice",
     "dunham_energy",
-    "eigenvalues",
     "polyad_lattice",
     "spectrum",
 })
@@ -105,7 +104,6 @@ __all__ = [
     "delta1_closed",
     "delta2_closed",
     "dunham_energy",
-    "eigenvalues",
     "enumerate_coupling",
     "enumerate_dunham",
     "flow_h0",

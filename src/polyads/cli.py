@@ -26,7 +26,7 @@ from .monomials import (
     monomials_to_json,
     sort_monomials,
 )
-from .resonance import ResonanceSpec, write_phase_curve_csv
+from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
 
 _HEADER_KEYS = ("n", "p", "q", "order")
 
@@ -74,6 +74,21 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
+def _header_spec(header: dict[str, int], line_no: int, missing_msg: str
+                 ) -> tuple[ResonanceSpec, int]:
+    """Resonance spec and order from complete header keys, else ModelFileError."""
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise ModelFileError(line_no, f"{missing_msg} {missing}")
+    try:
+        spec = ResonanceSpec(n=header["n"], p=header["p"], q=header["q"])
+    except ValueError as exc:
+        raise ModelFileError(line_no, f"bad header: {exc}") from None
+    if header["order"] < 4:
+        raise ModelFileError(line_no, "order must be at least 4")
+    return spec, header["order"]
+
+
 def parse_model_text(text: str) -> "HamiltonianModel":
     """Parse model-file text. Header lines first, then one term per line."""
     from .quantum import HamiltonianModel, TermSpec
@@ -82,7 +97,6 @@ def parse_model_text(text: str) -> "HamiltonianModel":
     terms: list[TermSpec] = []
     seen: set[tuple] = set()
     spec: Optional[ResonanceSpec] = None
-    order = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,16 +119,7 @@ def parse_model_text(text: str) -> "HamiltonianModel":
             continue
 
         if spec is None:
-            missing = [k for k in _HEADER_KEYS if k not in header]
-            if missing:
-                raise ModelFileError(line_no, f"term before header keys {missing}")
-            try:
-                spec = ResonanceSpec(n=header["n"], p=header["p"], q=header["q"])
-            except ValueError as exc:
-                raise ModelFileError(line_no, f"bad header: {exc}") from None
-            order = header["order"]
-            if order < 4:
-                raise ModelFileError(line_no, "order must be at least 4")
+            spec, order = _header_spec(header, line_no, "term before header keys")
 
         parts = line.split()
         kind = parts[0]
@@ -156,6 +161,9 @@ def parse_model_text(text: str) -> "HamiltonianModel":
                     raise ModelFileError(line_no, "expected: extra <raise> <lower> <value>")
                 raise_v = _parse_exps(parts[1], spec.n, line_no, True)
                 lower_v = _parse_exps(parts[2], spec.n, line_no, True)
+                degree = sum(raise_v) + sum(lower_v)
+                if degree > order:
+                    raise ModelFileError(line_no, f"degree {degree} exceeds order {order}")
                 term = TermSpec(kind="extra", raise_exps=raise_v, lower_exps=lower_v,
                                 coeff=_parse_value(parts[3], line_no),
                                 coeff_text=parts[3])
@@ -171,12 +179,8 @@ def parse_model_text(text: str) -> "HamiltonianModel":
         terms.append(term)
 
     if spec is None:
-        missing = [k for k in _HEADER_KEYS if k not in header]
-        if missing:
-            raise ModelFileError(len(text.splitlines()) + 1,
-                                 f"missing header keys {missing}")
-        spec = ResonanceSpec(n=header["n"], p=header["p"], q=header["q"])
-        order = header["order"]
+        spec, order = _header_spec(header, len(text.splitlines()) + 1,
+                                   "missing header keys")
     return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
 
 
@@ -357,8 +361,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_phase_space(args: argparse.Namespace) -> int:
-    import io
-
     fixed = tuple(args.sigma)
     n = 2 + len(fixed)
     try:
@@ -366,10 +368,12 @@ def _cmd_phase_space(args: argparse.Namespace) -> int:
         # flag value is h0 over the second frequency; rescale to the
         # exact-unit convention (second frequency = p) phase_curve expects
         h0 = args.h0 * spec.float_omegas()[1]
+        points = phase_curve(spec, h0, fixed, args.samples)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with _output(args.out) as fh:
         if args.format == "json":
-            from .resonance import phase_curve, phase_curve_residual
-
-            points = phase_curve(spec, h0, fixed, args.samples)
             payload = [
                 {
                     "sigma1": pt.sigma1,
@@ -378,16 +382,12 @@ def _cmd_phase_space(args: argparse.Namespace) -> int:
                 }
                 for pt in points
             ]
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-            rows = len(points) // 2
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
         else:
-            buf = io.StringIO()
-            rows = write_phase_curve_csv(buf, spec, h0, fixed, args.samples)
-            _emit(buf.getvalue(), args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    summary = f"rows {rows}\n"
+            write_phase_curve_csv(fh, spec, h0, fixed, args.samples)
+    # one row per sample: two branch points each, or the origin alone
+    summary = f"rows {(len(points) + 1) // 2}\n"
     (sys.stdout if args.out else sys.stderr).write(summary)
     return 0
 

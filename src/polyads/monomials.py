@@ -12,8 +12,9 @@ explains why the raw sums over-count and by exactly how much.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal, Optional
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def sort_monomials(monos: Iterable[GenMonomial]) -> list[GenMonomial]:
     return sorted(monos, key=GenMonomial.sort_key)
 
 
-def monomials_to_json(monos: Iterable[GenMonomial], out: IO[str] | None = None) -> str:
+def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
     """Serialize monomials in canonical order as a JSON array."""
     payload = [
         {
@@ -75,10 +76,7 @@ def monomials_to_json(monos: Iterable[GenMonomial], out: IO[str] | None = None) 
         }
         for m in sort_monomials(monos)
     ]
-    text = json.dumps(payload, indent=2)
-    if out is not None:
-        out.write(text + "\n")
-    return text
+    return json.dumps(payload, indent=2)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -121,7 +119,6 @@ def enumerate_coupling(n: int, N: int, p: int, q: int) -> set[GenMonomial]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    import math
     if math.gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
     pq = p + q

@@ -251,43 +251,56 @@ def polyad_lattice(spec: ResonanceSpec) -> list[tuple[int, ...]]:
     return rows
 
 
+def _hermite(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[list[int]], int]:
+    """Row Hermite normal form of ``rows`` over their first ``cols`` columns.
+
+    Python-int row operations; columns past ``cols`` ride along. Returns the
+    reduced rows and the rank: rows past the rank are zero over ``cols``.
+    """
+    a = [list(r) for r in rows]
+    rank = 0
+    for c in range(cols):
+        live = [i for i in range(rank, len(a)) if a[i][c]]
+        if not live:
+            continue
+        while len(live) > 1:
+            top = min(live, key=lambda i: abs(a[i][c]))
+            for i in live:
+                if i != top:
+                    f = a[i][c] // a[top][c]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+            live = [i for i in live if a[i][c]]
+        a[rank], a[live[0]] = a[live[0]], a[rank]
+        if a[rank][c] < 0:
+            a[rank] = [-x for x in a[rank]]
+        pivot = a[rank]
+        for i in range(rank):
+            f = a[i][c] // pivot[c]
+            a[i] = [x - f * y for x, y in zip(a[i], pivot)]
+        rank += 1
+    return a, rank
+
+
 def conserved_lattice(model: HamiltonianModel) -> list[tuple[int, ...]]:
-    """Integer basis (Hermite normal form) of the true conserved labels.
+    """Z-basis of the true conserved labels, in row Hermite normal form.
 
     The lattice of integer vectors v with v . s = 0 for every off-diagonal
-    shift vector s of the model. With no off-diagonal terms every
-    occupation number is conserved.
+    shift vector s of the model; every such v is an integer combination of
+    the rows. The basis is canonical: pivots (first nonzero entries) are
+    positive, pivot columns strictly increase, and every entry above a
+    pivot lies in [0, pivot). With no off-diagonal terms every occupation
+    number is conserved and the basis is the identity.
     """
     n = model.spec.n
-    shifts = []
-    for t in model.off_diagonal_terms():
-        if t.coeff == 0.0:
-            continue  # census placeholder, not an operator of the model
-        s = term_shift(t, model.spec)
-        if s is not None:
-            shifts.append(s)
-    if not shifts:
-        return [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
-    from sympy import Matrix
-    from sympy.matrices.normalforms import hermite_normal_form
-
-    null = Matrix(shifts).nullspace()
-    if not null:
-        return []
-    basis = []
-    for vec in null:
-        denom = math.lcm(*[int(entry.q) for entry in vec])
-        ints = [int(entry * denom) for entry in vec]
-        g = math.gcd(*ints)
-        basis.append([v // g for v in ints])
-    hnf = hermite_normal_form(Matrix(basis).T).T
-    rows = [tuple(int(x) for x in hnf.row(r)) for r in range(hnf.rows)]
-    # leading entry positive, rows in echelon order of pivot column
-    canon = []
-    for row in rows:
-        lead = next((x for x in row if x != 0), 0)
-        canon.append(tuple(-x for x in row) if lead < 0 else row)
-    return sorted(canon, key=lambda row: next(j for j, x in enumerate(row) if x != 0))
+    # zero coefficients are census placeholders, not operators of the model
+    shifts = [term_shift(t, model.spec) for t in model.off_diagonal_terms()
+              if t.coeff != 0.0]
+    k = len(shifts)
+    # rows of [S^T | I]: past the rank, the I part spans the integer kernel
+    rows = [[s[i] for s in shifts] + [int(i == j) for j in range(n)] for i in range(n)]
+    reduced, rank = _hermite(rows, k)
+    kernel, _ = _hermite([r[k:] for r in reduced[rank:]], n)
+    return [tuple(r) for r in kernel]
 
 
 def state_label(f: FockState, lattice: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -420,11 +433,6 @@ def build_block(model: HamiltonianModel, label: Sequence[int],
     eig = tuple(float(x) for x in np.linalg.eigvalsh(mat))
     return PolyadBlock(label=label, basis=tuple(map(tuple, basis.tolist())),
                        matrix=mat, eigenvalues=eig)
-
-
-def eigenvalues(block: PolyadBlock) -> list[float]:
-    """Ascending eigenvalues of the block."""
-    return list(block.eigenvalues)
 
 
 def dunham_energy(f: FockState, model: HamiltonianModel) -> float:

@@ -222,7 +222,6 @@ class PhaseCurvePoint:
 
     sigma1: float
     sigma0p: float
-    sigmam1p: float
 
 
 def _curve_rhs(spec: ResonanceSpec, h0: float, fixed_sigma: Sequence[float],
@@ -240,7 +239,7 @@ def phase_curve_residual(spec: ResonanceSpec, h0: float,
                          point: PhaseCurvePoint) -> float:
     """Defect of the reduced-phase-space relation at ``point``."""
     rhs = _curve_rhs(spec, h0, fixed_sigma, point.sigma1)
-    return point.sigma0p ** 2 + point.sigmam1p ** 2 - rhs
+    return point.sigma0p ** 2 - rhs
 
 
 def phase_curve(spec: ResonanceSpec, h0: float,
@@ -272,13 +271,13 @@ def phase_curve(spec: ResonanceSpec, h0: float,
     top = (spec.p / spec.q) * budget
     points: list[PhaseCurvePoint] = []
     if top == 0.0:
-        return [PhaseCurvePoint(0.0, 0.0, 0.0)]
+        return [PhaseCurvePoint(0.0, 0.0)]
     for idx in range(samples):
         s1 = top * idx / (samples - 1)
         rhs = _curve_rhs(spec, h0, fixed_sigma, s1)
         root = math.sqrt(max(rhs, 0.0))
-        points.append(PhaseCurvePoint(s1, root, 0.0))
-        points.append(PhaseCurvePoint(s1, -root, 0.0))
+        points.append(PhaseCurvePoint(s1, root))
+        points.append(PhaseCurvePoint(s1, -root))
     return points
 
 

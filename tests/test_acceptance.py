@@ -19,6 +19,7 @@ from polyads.counting import (
     DELTA1_REFERENCE,
     DELTA2_REFERENCE,
     TOTALS_REFERENCE_N10,
+    _REPRESENTATIVE,
     delta1_closed,
     delta2_closed,
     totals,
@@ -32,7 +33,6 @@ from polyads.quantum import (
     cloh_model,
     conserved_lattice,
     dunham_energy,
-    eigenvalues,
     spectrum,
     state_label,
 )
@@ -45,9 +45,6 @@ from polyads.resonance import (
 )
 from polyads.zpoly import ComplexRational, ZPolynomial, poisson_bracket
 
-_REP = {2: (1, 1), 3: (2, 1), 4: (3, 1), 5: (3, 2)}
-
-
 def _verdict(name: str, ok: bool, elapsed: float, detail: str = "") -> None:
     tail = f"  {detail}" if detail else ""
     line = f"{'PASS' if ok else 'FAIL'}  {name}  ({elapsed:.2f}s){tail}"
@@ -58,7 +55,7 @@ def test_01_two_monomial_table_both_paths():
     t0 = time.perf_counter()
     bad = []
     for (N, pq), expected in DELTA1_REFERENCE.items():
-        p, q = _REP[pq]
+        p, q = _REPRESENTATIVE[pq]
         closed = delta1_closed(N, p, q)
         brute = brute_force_delta1(N, p, q)
         if not (closed == brute == expected):
@@ -75,7 +72,7 @@ def test_02_three_monomial_table_both_paths():
     t0 = time.perf_counter()
     bad = []
     for (N, pq), expected in DELTA2_REFERENCE.items():
-        p, q = _REP[pq]
+        p, q = _REPRESENTATIVE[pq]
         closed = delta2_closed(N, p, q)
         brute = brute_force_delta2(N, p, q)
         if not (closed == brute == expected):
@@ -92,7 +89,7 @@ def test_03_totals_table():
     t0 = time.perf_counter()
     bad = []
     for pq, expected in TOTALS_REFERENCE_N10.items():
-        p, q = _REP[pq]
+        p, q = _REPRESENTATIVE[pq]
         rep = totals(2, 10, p, q)
         if (rep.n_coef, rep.n_op, rep.n_c) != expected:
             bad.append((pq, expected, (rep.n_coef, rep.n_op, rep.n_c)))
@@ -218,7 +215,7 @@ def test_08_diagonal_limit_matches_number_string_energies():
         for n3 in range(0, 3):
             block = build_block(m, (P, n3), [40, 20, 8])
             expect = sorted(dunham_energy(f, m) for f in block.basis)
-            got = eigenvalues(block)
+            got = block.eigenvalues
             for x, y in zip(got, expect):
                 rel = abs(x - y) / max(abs(y), 1.0)
                 worst = max(worst, rel)
@@ -287,7 +284,7 @@ def test_10_weak_coupling_second_order_shift():
         c = scale * gap
         m = HamiltonianModel(spec=spec, order=10, terms=base + (
             TermSpec(kind="coupling", num_exps=(0, 0), m_exp=1, coeff=c),))
-        lo, hi = eigenvalues(build_block(m, (2,), [20, 10]))
+        lo, hi = build_block(m, (2,), [20, 10]).eigenvalues
         v2 = 2.0 * c * c  # squared off-diagonal element sqrt(2) c
         for got, predicted in ((lo, 2 * e1 - v2 / gap), (hi, e2 + v2 / gap)):
             err = abs(got - predicted)

@@ -73,6 +73,9 @@ class TestModelGrammar:
         ("n=2\np=2\nq=1\norder=6\nextra 1:1 1:1 0.5\n", 5, ""),
         ("n=2\np=4\nq=2\norder=6\nomega 1 1.0\n", 5, "bad header"),
         ("n=2\np=2\nq=1\n", 4, "missing header"),
+        ("n=2\np=2\nq=2\norder=6\n", 5, "bad header"),
+        ("n=2\np=2\nq=1\norder=2\n", 5, "at least 4"),
+        ("n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n", 5, "degree 10 exceeds order 6"),
     ])
     def test_rejects_with_line_number(self, text, line_no, needle):
         with pytest.raises(ModelFileError) as err:
@@ -237,6 +240,18 @@ class TestSpectrumCommand:
         assert code == 2
         assert "line 5" in err and str(bad) in err
 
+    @pytest.mark.parametrize("text", [
+        "n=2\np=2\nq=2\norder=6\n",
+        "n=2\np=2\nq=1\norder=2\n",
+        "n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n",
+    ], ids=["header-not-coprime", "header-low-order", "extra-over-order"])
+    def test_rejected_model_exit_code(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.model"
+        bad.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--model", str(bad), "--pmax", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: line 5: ")
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum", "--model",
                            str(tmp_path / "nope.model"), "--pmax", "4")
@@ -283,6 +298,24 @@ class TestPhaseSpaceCommand:
                            "--h0", "0.05", "--sigma", "9.0")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,fmt,rows,digest", [
+        (["--p", "1", "--q", "1", "--h0", "0"], "json", 1,
+         "18327b15af70717154d8a807ad909a35e20d1029ae10f0d2d57208df10b9eac8"),
+        (["--p", "1", "--q", "1", "--h0", "0"], "table", 1,
+         "0bb26fc6b0a38625475349de243cc8220ff0fc0eca52bd9f43abd75970348cad"),
+        (["--p", "2", "--q", "1", "--h0", "2.5", "--sigma", "0.3", "--samples", "41"],
+         "json", 41, "d02912438781efabe072b34b8209f6417d4deada9af88865602e20d8daed3ea2"),
+        (["--p", "2", "--q", "1", "--h0", "2.5", "--sigma", "0.3", "--samples", "41"],
+         "table", 41, "cdebfb463574ed83e61fd9fc3f872a179030f28a02d481541a526f202a5cfa43"),
+    ], ids=["origin-json", "origin-csv", "sigma-json", "sigma-csv"])
+    def test_output_digest_pinned(self, capsys, tmp_path, argv, fmt, rows, digest):
+        # digests taken before PhaseCurvePoint lost its always-zero sigmam1p field
+        out_file = tmp_path / "curve.out"
+        code, out, _ = run(capsys, "phase-space", *argv, "--format", fmt,
+                           "--out", str(out_file))
+        assert (code, out) == (0, f"rows {rows}\n")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
     def test_json_points_carry_residuals(self, capsys):
         code, out, _ = run(capsys, "phase-space", "--p", "2", "--q", "1",

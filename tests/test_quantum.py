@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,6 @@ from polyads.quantum import (
     cloh_model,
     conserved_lattice,
     dunham_energy,
-    eigenvalues,
     ladder_form,
     polyad_lattice,
     raising_branch,
@@ -37,6 +41,16 @@ from polyads.resonance import ResonanceSpec
 
 SPEC21 = ResonanceSpec(n=3, p=2, q=1)
 SPEC21_2 = ResonanceSpec(n=2, p=2, q=1)
+FIXTURE = Path(quantum.__file__).parent / "data" / "cloh.model"
+
+
+def _shift_model(shifts):
+    """A model with one extra ladder pair per occupation shift."""
+    terms = tuple(TermSpec(kind="extra", raise_exps=tuple(max(x, 0) for x in s),
+                           lower_exps=tuple(max(-x, 0) for x in s), coeff=1.0)
+                  for s in shifts)
+    return HamiltonianModel(spec=ResonanceSpec(n=len(shifts[0]), p=1, q=1),
+                            order=99, terms=terms)
 
 
 def fermi(coeff=1.0, num_exps=(0, 0, 0)):
@@ -247,13 +261,62 @@ class TestLattices:
         lat = [(1, 2, 0), (0, 0, 1)]
         assert state_label((3, 1, 2), lat) == (5, 2)
 
+    def test_lattice_is_saturated(self):
+        # the kernel of (2,-1,-1) holds (1,1,1), which the index-2
+        # sublattice spanned by (1,2,0) and (1,0,2) misses
+        lat = conserved_lattice(_shift_model([(2, -1, -1)]))
+        assert lat == [(1, 0, 2), (0, 1, -1)]
+        assert tuple(a + b for a, b in zip(*lat)) == (1, 1, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(min_value=-3, max_value=3)] * n).filter(any),
+        min_size=1, max_size=3, unique=True)))
+    def test_lattice_is_hermite_z_basis_of_kernel(self, shifts):
+        from sympy import Matrix, gcd
+
+        n = len(shifts[0])
+        lat = conserved_lattice(_shift_model(shifts))
+        assert all(sum(a * b for a, b in zip(v, s)) == 0 for v in lat for s in shifts)
+        null = Matrix(shifts).nullspace()
+        assert len(lat) == n - Matrix(shifts).rank() == len(null)
+        if not lat:
+            return
+        # same rational span as sympy's nullspace
+        both = Matrix.vstack(Matrix(lat), *(v.T for v in null))
+        assert Matrix(lat).rank() == both.rank() == len(lat)
+        # saturated: the maximal minors have no common factor
+        minors = [Matrix([[v[c] for c in cols] for v in lat]).det()
+                  for cols in itertools.combinations(range(n), len(lat))]
+        assert gcd(minors) == 1
+        # row Hermite normal form
+        pivots = [next(j for j, x in enumerate(v) if x) for v in lat]
+        assert pivots == sorted(set(pivots))
+        for i, (v, c) in enumerate(zip(lat, pivots)):
+            assert v[c] > 0
+            assert all(0 <= above[c] < v[c] for above in lat[:i])
+
+    def test_runtime_path_needs_no_sympy(self):
+        code = ("import sys; sys.modules['sympy'] = None\n"
+                "from polyads.quantum import cloh_model, conserved_lattice\n"
+                "assert conserved_lattice(cloh_model()) == [(1, 2, 6)]\n"
+                "from polyads.cli import main\n"
+                f"sys.exit(main(['spectrum', '--model', {str(FIXTURE)!r},"
+                " '--pmax', '10', '--n3max', '1']))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(quantum.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("P,n3,index,energy_cm1\n")
+        assert proc.stderr == "blocks 22 levels 72\n"
+
 
 class TestBlocks:
     def test_vacuum_block(self):
         m = cloh_model()
         b = build_block(m, (0, 0), [40, 20, 8])
         assert b.basis == ((0, 0, 0),)
-        assert eigenvalues(b) == [0.0]
+        assert list(b.eigenvalues) == [0.0]
 
     def test_small_fermi_block(self):
         m = cloh_model()
@@ -311,7 +374,7 @@ class TestBlocks:
         c = b.matrix[0, 1]
         disc = math.hypot((a - d) / 2, c)
         lo, hi = (a + d) / 2 - disc, (a + d) / 2 + disc
-        got = eigenvalues(b)
+        got = b.eigenvalues
         assert got[0] == pytest.approx(lo, rel=1e-12)
         assert got[1] == pytest.approx(hi, rel=1e-12)
 
@@ -321,7 +384,7 @@ class TestBlocks:
         radii = np.sum(np.abs(b.matrix), axis=1) - np.abs(np.diag(b.matrix))
         lo = float(np.min(np.diag(b.matrix) - radii))
         hi = float(np.max(np.diag(b.matrix) + radii))
-        for e in eigenvalues(b):
+        for e in b.eigenvalues:
             assert lo - 1e-9 <= e <= hi + 1e-9
 
 
@@ -348,7 +411,7 @@ class TestDunhamEnergy:
         for label in [(4, 0), (7, 1)]:
             b = build_block(m, label, [40, 20, 8])
             expect = sorted(dunham_energy(f, m) for f in b.basis)
-            got = eigenvalues(b)
+            got = b.eigenvalues
             for x, y in zip(got, expect):
                 assert x == pytest.approx(y, rel=1e-12)
 
@@ -438,7 +501,7 @@ class TestPerturbativeLimit:
                                      m_exp=1, coeff=c),)
             m = HamiltonianModel(spec=spec, order=10, terms=terms)
             b = build_block(m, (2,), [20, 10])
-            lo, hi = eigenvalues(b)
+            lo, hi = b.eigenvalues
             v2 = 2.0 * c * c  # off-diagonal element is sqrt(2) c
             assert lo == pytest.approx(2 * e1 - v2 / gap, abs=8 * v2 * v2 / gap ** 3)
             assert hi == pytest.approx(e2 + v2 / gap, abs=8 * v2 * v2 / gap ** 3)

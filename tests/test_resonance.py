@@ -189,12 +189,12 @@ class TestPhaseCurve:
 
     def test_residual_detects_off_curve_point(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
-        bogus = PhaseCurvePoint(sigma1=0.5, sigma0p=0.9, sigmam1p=0.0)
+        bogus = PhaseCurvePoint(sigma1=0.5, sigma0p=0.9)
         assert abs(phase_curve_residual(spec, 1.0, (), bogus)) > 0.1
 
     def test_zero_budget_degenerates_to_origin(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
-        assert phase_curve(spec, 0.0, ()) == [PhaseCurvePoint(0.0, 0.0, 0.0)]
+        assert phase_curve(spec, 0.0, ()) == [PhaseCurvePoint(0.0, 0.0)]
 
     def test_validation_errors(self):
         spec = ResonanceSpec(n=3, p=1, q=1)
