@@ -35,7 +35,7 @@ def main() -> int:
             peak = max(points, key=lambda pt: pt.sigma0p)
             path = args.outdir / f"curve_p{p}q{q}_h{h_rel:g}.csv"
             with open(path, "w", encoding="utf-8") as fh:
-                write_phase_curve_csv(fh, spec, h0, (), args.samples)
+                write_phase_curve_csv(fh, points, spec, h0)
             print(f"p={p} q={q} h0/w2={h_rel:g}: max sigma0' = {peak.sigma0p:.6f} "
                   f"at sigma1 = {peak.sigma1:.6f} -> {path}")
     return 0

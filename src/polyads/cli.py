@@ -385,7 +385,7 @@ def _cmd_phase_space(args: argparse.Namespace) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
-            write_phase_curve_csv(fh, spec, h0, fixed, args.samples)
+            write_phase_curve_csv(fh, points, spec, h0, fixed)
     # one row per sample: two branch points each, or the origin alone
     summary = f"rows {(len(points) + 1) // 2}\n"
     (sys.stdout if args.out else sys.stderr).write(summary)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -320,19 +320,12 @@ class PolyadBlock:
     eigenvalues: tuple[float, ...]
 
 
-# Largest caps box build_block will allocate: every candidate occupation
-# vector is one int64 row, about 100 MB at n = 3.
+# Largest caps box a call allocates: every candidate occupation vector is
+# one int64 row, about 100 MB at n = 3.
 MAX_BOX_STATES = 2 ** 22
-
-
-def _box_dims(caps: Sequence[int]) -> list[int]:
-    """Axis lengths of the caps box; rejects a box over MAX_BOX_STATES."""
-    dims = [max(c, -1) + 1 for c in caps]
-    size = math.prod(dims)
-    if size > MAX_BOX_STATES:
-        raise ValueError(f"caps {tuple(caps)} span {size} candidate states, "
-                         f"over the limit of {MAX_BOX_STATES}")
-    return dims
+# Largest sum of dim ** 2 over the blocks of a call: each block keeps its
+# dense float64 matrix, so this holds them to 32 MB.
+MAX_MATRIX_ENTRIES = 2 ** 22
 
 
 def _number_factors(occ: np.ndarray, exps: Sequence[int]) -> np.ndarray:
@@ -352,15 +345,15 @@ def _number_factors(occ: np.ndarray, exps: Sequence[int]) -> np.ndarray:
     return out
 
 
-def build_block(model: HamiltonianModel, label: Sequence[int],
-                caps: Sequence[int],
-                lattice: Sequence[Sequence[int]] | None = None) -> PolyadBlock:
-    """Assemble the symmetric matrix for one label under occupation caps.
+def _blocks(model: HamiltonianModel, caps: Sequence[int],
+            lattice: Sequence[Sequence[int]],
+            select: Callable[[np.ndarray], np.ndarray]) -> list[PolyadBlock]:
+    """Assemble the blocks of the caps box whose labels pass ``select``.
 
-    Basis states are every occupation vector below the caps whose lattice
-    label matches, in lexicographic order: the rows of the caps box whose
-    label equals ``label``. Caps spanning more than MAX_BOX_STATES
-    candidates raise ValueError before anything is allocated.
+    ``select`` maps the labels of the box rows to a mask. Blocks come in
+    label order, each basis lexicographic. Caps over MAX_BOX_STATES
+    candidates, or blocks over MAX_MATRIX_ENTRIES entries in all, raise
+    ValueError before anything is allocated or assembled.
 
     Each term is applied to the whole basis at once. Targets are found by
     binary search on mixed-radix keys of the states; elements of terms
@@ -372,67 +365,91 @@ def build_block(model: HamiltonianModel, label: Sequence[int],
     """
     spec = model.spec
     n = spec.n
-    if len(caps) != n:
+    dims = [max(c, -1) + 1 for c in caps]
+    size = math.prod(dims)
+    if size > MAX_BOX_STATES:
+        raise ValueError(f"caps {tuple(caps)} span {size} candidate states, "
+                         f"over the limit of {MAX_BOX_STATES}")
+    box = np.indices(dims).reshape(n, -1).T
+    labels = box @ np.array(lattice, dtype=np.int64).reshape(len(lattice), n).T
+    kept = np.flatnonzero(select(labels))
+    kept = kept[np.lexsort([kept, *labels[kept].T[::-1]])]  # by label, then box order
+    cuts = np.flatnonzero(np.any(np.diff(labels[kept], axis=0), axis=1)) + 1
+    groups = np.split(kept, cuts) if len(kept) else []
+    entries = sum(len(g) ** 2 for g in groups)
+    if entries > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"blocks hold {entries} matrix entries, "
+                         f"over the limit of {MAX_MATRIX_ENTRIES}")
+    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)], dtype=np.int64)
+    blocks = []
+    for group in groups:
+        basis = box[group]
+        dim = len(basis)
+        keys = basis @ strides  # ascending, as the basis is lexicographic
+
+        diagonal = np.zeros(dim)
+        src_parts, tgt_parts, val_parts = [], [], []
+        for t in model.terms:
+            if t.coeff == 0.0:
+                continue
+            if t.kind == "dunham":
+                diagonal += t.coeff * _number_factors(basis, t.num_exps)
+                continue
+            raise_v, lower_v, num_exps = ladder_form(t, spec)
+            digits = _number_factors(basis, num_exps)
+            target = basis + np.array(term_shift(t, spec))
+            keep = (digits != 0.0) & np.all(basis >= np.array(lower_v), axis=1) \
+                & np.all(target < np.array(dims), axis=1)
+            src = np.flatnonzero(keep)
+            tkeys = target[src] @ strides
+            pos = np.minimum(np.searchsorted(keys, tkeys), dim - 1)
+            hit = keys[pos] == tkeys  # otherwise leaves the block: projected out
+            src, tgt = src[hit], pos[hit]
+            sq = np.ones(len(src), dtype=object)
+            for k in range(n):
+                occ = basis[src, k].astype(object)
+                for j in range(lower_v[k]):
+                    sq = sq * (occ - j)
+                for j in range(1, raise_v[k] + 1):
+                    sq = sq * (occ - lower_v[k] + j)
+            amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
+            src_parts.append(src)
+            tgt_parts.append(tgt)
+            val_parts.append(t.coeff * (digits[src] * amp))
+
+        mat = np.diag(diagonal)
+        if src_parts:
+            src = np.concatenate(src_parts)
+            # stable: within one source state, terms keep their model order
+            order = np.argsort(src, kind="stable")
+            src, tgt = src[order], np.concatenate(tgt_parts)[order]
+            val = np.concatenate(val_parts)[order]
+            rows = np.stack([tgt, src], axis=1).ravel()
+            cols = np.stack([src, tgt], axis=1).ravel()
+            np.add.at(mat, (rows, cols), np.repeat(val, 2))
+        eig = tuple(float(x) for x in np.linalg.eigvalsh(mat))
+        blocks.append(PolyadBlock(label=tuple(labels[group[0]].tolist()),
+                                  basis=tuple(map(tuple, basis.tolist())),
+                                  matrix=mat, eigenvalues=eig))
+    return blocks
+
+
+def build_block(model: HamiltonianModel, label: Sequence[int],
+                caps: Sequence[int],
+                lattice: Sequence[Sequence[int]] | None = None) -> PolyadBlock:
+    """The block of one label: every occupation vector below the caps with
+    that lattice label, in lexicographic order; ValueError if none has."""
+    if len(caps) != model.spec.n:
         raise ValueError("caps must cover every mode")
     if lattice is None:
-        lattice = polyad_lattice(spec)
+        lattice = polyad_lattice(model.spec)
     label = tuple(label)
     if len(label) != len(lattice):
         raise ValueError("label length must match the lattice")
-    dims = _box_dims(caps)
-
-    box = np.indices(dims).reshape(n, -1).T
-    lat = np.array(lattice, dtype=np.int64).reshape(len(lattice), n)
-    basis = box[np.all(box @ lat.T == np.array(label, dtype=np.int64), axis=1)]
-    if not len(basis):
+    blocks = _blocks(model, caps, lattice, lambda labels: np.all(labels == label, axis=1))
+    if not blocks:
         raise ValueError(f"no basis states for label {label}")
-    dim = len(basis)
-    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)], dtype=np.int64)
-    keys = basis @ strides  # ascending, as the basis is lexicographic
-
-    diagonal = np.zeros(dim)
-    src_parts, tgt_parts, val_parts = [], [], []
-    for t in model.terms:
-        if t.coeff == 0.0:
-            continue
-        if t.kind == "dunham":
-            diagonal += t.coeff * _number_factors(basis, t.num_exps)
-            continue
-        raise_v, lower_v, num_exps = ladder_form(t, spec)
-        digits = _number_factors(basis, num_exps)
-        target = basis + np.array(term_shift(t, spec))
-        keep = (digits != 0.0) & np.all(basis >= np.array(lower_v), axis=1) \
-            & np.all(target < np.array(dims), axis=1)
-        src = np.flatnonzero(keep)
-        tkeys = target[src] @ strides
-        pos = np.minimum(np.searchsorted(keys, tkeys), dim - 1)
-        hit = keys[pos] == tkeys  # otherwise leaves the block: projected out
-        src, tgt = src[hit], pos[hit]
-        sq = np.ones(len(src), dtype=object)
-        for k in range(n):
-            occ = basis[src, k].astype(object)
-            for j in range(lower_v[k]):
-                sq = sq * (occ - j)
-            for j in range(1, raise_v[k] + 1):
-                sq = sq * (occ - lower_v[k] + j)
-        amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
-        src_parts.append(src)
-        tgt_parts.append(tgt)
-        val_parts.append(t.coeff * (digits[src] * amp))
-
-    mat = np.diag(diagonal)
-    if src_parts:
-        src = np.concatenate(src_parts)
-        # stable: within one source state, terms keep their model order
-        order = np.argsort(src, kind="stable")
-        src, tgt = src[order], np.concatenate(tgt_parts)[order]
-        val = np.concatenate(val_parts)[order]
-        rows = np.stack([tgt, src], axis=1).ravel()
-        cols = np.stack([src, tgt], axis=1).ravel()
-        np.add.at(mat, (rows, cols), np.repeat(val, 2))
-    eig = tuple(float(x) for x in np.linalg.eigvalsh(mat))
-    return PolyadBlock(label=label, basis=tuple(map(tuple, basis.tolist())),
-                       matrix=mat, eigenvalues=eig)
+    return blocks[0]
 
 
 def dunham_energy(f: FockState, model: HamiltonianModel) -> float:
@@ -443,32 +460,23 @@ def dunham_energy(f: FockState, model: HamiltonianModel) -> float:
 
 def spectrum(model: HamiltonianModel, pmax: int, n3max: int
              ) -> tuple[list[PolyadBlock], list[tuple[int, int, int, float]]]:
-    """All blocks with P <= pmax (and n3 <= n3max for three modes).
+    """Every nonempty block with P <= pmax (and n3 <= n3max for three modes).
 
-    Returns the blocks and flat rows (P, n3, index, energy), ordered by
-    label then by ascending energy within the block. Caps whose largest
-    block box is over MAX_BOX_STATES raise ValueError before any block is
-    built.
+    Any coprime p:q works; a P with no states has no block. Returns the
+    blocks and flat rows (P, n3, index, energy), n3 = 0 for two modes,
+    ordered by label then by ascending energy within the block. Caps over
+    MAX_BOX_STATES candidates, or blocks over MAX_MATRIX_ENTRIES entries
+    in all, raise ValueError before any block is built.
     """
     spec = model.spec
     if spec.n not in (2, 3):
         raise ValueError("spectrum labeling is defined for 2 or 3 modes")
     if pmax < 0 or n3max < 0:
         raise ValueError("caps are non-negative")
-    _box_dims((pmax // spec.q, pmax // spec.p, n3max)[:spec.n])
-    blocks: list[PolyadBlock] = []
-    rows: list[tuple[int, int, int, float]] = []
-    n3_values = [0] if spec.n == 2 else list(range(n3max + 1))
-    for P in range(pmax + 1):
-        caps2 = (P // spec.q, P // spec.p)
-        for n3 in n3_values:
-            if spec.n == 2:
-                block = build_block(model, (P,), caps2)
-            else:
-                block = build_block(model, (P, n3), caps2 + (n3,))
-            blocks.append(block)
-            for idx, energy in enumerate(block.eigenvalues):
-                rows.append((P, n3, idx, energy))
+    caps = (pmax // spec.q, pmax // spec.p, n3max)[:spec.n]
+    blocks = _blocks(model, caps, polyad_lattice(spec), lambda labels: labels[:, 0] <= pmax)
+    rows = [(*(b.label + (0,))[:2], idx, energy)
+            for b in blocks for idx, energy in enumerate(b.eigenvalues)]
     return blocks, rows
 
 

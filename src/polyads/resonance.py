@@ -21,23 +21,17 @@ from .zpoly import (
     poisson_bracket,
 )
 
-RATIO_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ResonanceSpec:
-    """Problem sizes and frequencies for one p:q resonant system.
+    """Problem sizes for one p:q resonant system.
 
-    ``omega`` is optional: symbolic work only needs the ratio, which is fixed
-    by (p, q). When numeric frequencies are supplied they must satisfy the
-    resonance ratio and be pairwise distinct (the resonant pair itself may
-    coincide only in the 1:1 case, where the ratio forces equality).
+    The frequencies follow from (p, q): see ``exact_omegas``.
     """
 
     n: int
     p: int
     q: int
-    omega: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -48,25 +42,6 @@ class ResonanceSpec:
             raise ValueError("expected p >= q")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("p and q must be coprime")
-        if self.omega is not None:
-            om = tuple(float(w) for w in self.omega)
-            object.__setattr__(self, "omega", om)
-            if len(om) != self.n:
-                raise ValueError("omega length must equal n")
-            if any(w <= 0 for w in om):
-                raise ValueError("frequencies must be positive")
-            ratio = om[1] / om[0]
-            target = self.p / self.q
-            if abs(ratio - target) > RATIO_RTOL * target:
-                raise ValueError(
-                    f"omega2/omega1 = {ratio} does not match {self.p}:{self.q}")
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    if (i, j) == (0, 1) and self.p == self.q == 1:
-                        continue  # 1:1 forces equality of the resonant pair
-                    if om[i] == om[j]:
-                        raise ValueError(
-                            f"frequencies {i + 1} and {j + 1} coincide")
 
     def exact_omegas(self) -> tuple[Fraction, ...]:
         """Pairwise-distinct exact frequencies with the right ratio.
@@ -78,8 +53,6 @@ class ResonanceSpec:
         return (Fraction(self.q), Fraction(self.p), *rest)
 
     def float_omegas(self) -> tuple[float, ...]:
-        if self.omega is not None:
-            return self.omega
         return tuple(float(w) for w in self.exact_omegas())
 
 
@@ -281,11 +254,10 @@ def phase_curve(spec: ResonanceSpec, h0: float,
     return points
 
 
-def write_phase_curve_csv(out: TextIO, spec: ResonanceSpec, h0: float,
-                          fixed_sigma: Sequence[float] = (),
-                          samples: int = 101) -> int:
-    """Write the sampled curve as CSV; returns the number of rows."""
-    points = phase_curve(spec, h0, fixed_sigma, samples)
+def write_phase_curve_csv(out: TextIO, points: Sequence[PhaseCurvePoint],
+                          spec: ResonanceSpec, h0: float,
+                          fixed_sigma: Sequence[float] = ()) -> int:
+    """Write the points of ``phase_curve`` as CSV; returns the number of rows."""
     out.write("sigma1,sigma0p_plus,sigma0p_minus,residual\n")
     rows = 0
     for i in range(0, len(points), 2):

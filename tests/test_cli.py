@@ -271,6 +271,30 @@ class TestSpectrumCommand:
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
+    def test_two_mode_json_digest_pinned(self, capsys, tmp_path):
+        # digest of the output of the per-label build_block loop that the
+        # single labelled caps box replaced
+        model_file = tmp_path / "minimal.model"
+        model_file.write_text(MINIMAL)
+        out_file = tmp_path / "levels.json"
+        code, out, _ = run(capsys, "spectrum", "--model", str(model_file), "--pmax", "12",
+                           "--format", "json", "--out", str(out_file))
+        assert (code, out) == (0, "blocks 13 levels 49\n")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+            "6116e21191c5bbf4afe37f68048926df0450da6d1ecec592a19a77cb2409e777"
+
+    def test_three_two_model_skips_empty_labels(self, capsys, tmp_path):
+        # P = 2 n1 + 3 n2 is never 1, so P = 1 has no block
+        model_file = tmp_path / "three_two.model"
+        model_file.write_text("n=2\np=3\nq=2\norder=6\nomega 1 1000.0\n"
+                              "omega 2 1500.0\ndunham 1:2 -3.5\ncoupling 1 - 0.5\n")
+        out_file = tmp_path / "levels.csv"
+        code, out, _ = run(capsys, "spectrum", "--model", str(model_file), "--pmax", "10",
+                           "--out", str(out_file))
+        assert (code, out) == (0, "blocks 10 levels 14\n")
+        labels = {line.split(",")[0] for line in out_file.read_text().splitlines()[1:]}
+        assert labels == {str(P) for P in range(11) if P != 1}
+
     def test_oversized_caps_exit_code(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", str(FIXTURE),
                              "--pmax", "100000", "--n3max", "7")

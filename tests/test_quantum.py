@@ -667,6 +667,36 @@ class TestBuildBlockOracle:
         assert (raise_v, lower_v) == ((8, 0), (0, 4))
         _assert_matches_reference(m, (160,), (160, 80))
 
+    def test_spectrum_blocks_match_build_block(self):
+        # spectrum cuts every block from one box over the caps of the run;
+        # build_block cuts its one block from the caps of that block
+        m = cloh_model()
+        blocks, _ = spectrum(m, 44, 7)
+        assert len(blocks) == 45 * 8
+        for b in blocks:
+            P, n3 = b.label
+            ref = build_block(m, b.label, (P, P // 2, n3))
+            assert np.array_equal(b.basis, ref.basis)
+            assert np.array_equal(b.matrix, ref.matrix)
+
+    def test_spectrum_three_two_skips_empty_labels(self):
+        # P = 2 n1 + 3 n2 is never 1: that label has no states and no block
+        spec = ResonanceSpec(n=2, p=3, q=2)
+        m = _seeded_model(spec, 10, seed=6)
+        pmax = 20
+        blocks, rows = spectrum(m, pmax, 0)
+        reachable = sorted({2 * a + 3 * b for a in range(pmax // 2 + 1)
+                            for b in range(pmax // 3 + 1) if 2 * a + 3 * b <= pmax})
+        assert 1 not in reachable
+        assert [b.label for b in blocks] == [(P,) for P in reachable]
+        for b in blocks:
+            P, = b.label
+            states, mat = _reference_block(m, b.label, (P // 2, P // 3))
+            assert b.basis == states
+            assert np.array_equal(b.matrix, mat)
+        assert [row[:3] for row in rows] == [(b.label[0], 0, i) for b in blocks
+                                             for i in range(len(b.basis))]
+
 
 class TestBoxGuard:
     class Allocated(Exception):
@@ -690,3 +720,20 @@ class TestBoxGuard:
     def test_box_at_the_limit_is_allocated(self, no_box):
         with pytest.raises(self.Allocated):
             build_block(cloh_model(), (0, 0), [MAX_BOX_STATES - 1, 0, 0])
+
+    def test_matrix_budget_rejected_before_assembly(self, monkeypatch):
+        # the box at pmax 1500 fits, but its 1501 blocks hold 2.8e8 entries
+        def eigvalsh(*args, **kwargs):
+            raise self.Allocated
+
+        monkeypatch.setattr(quantum.np.linalg, "eigvalsh", eigvalsh)
+        with pytest.raises(ValueError, match="matrix entries"):
+            spectrum(cloh_model(), pmax=1500, n3max=0)
+
+    def test_matrix_budget_counts_every_block(self, monkeypatch):
+        # block dimensions 1, 1, 2, 2, 3 at pmax 4: 19 entries in all
+        monkeypatch.setattr(quantum, "MAX_MATRIX_ENTRIES", 19)
+        assert len(spectrum(cloh_model(), pmax=4, n3max=0)[0]) == 5
+        monkeypatch.setattr(quantum, "MAX_MATRIX_ENTRIES", 18)
+        with pytest.raises(ValueError, match="19 matrix entries"):
+            spectrum(cloh_model(), pmax=4, n3max=0)
