@@ -5,7 +5,7 @@ reference-table check, the appendix-style multiplicity audit, quantum
 spectra from a model file, and reduced-phase-space curves. Model files are
 parsed and serialized here; everything numerical is delegated.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or output error.
 """
 
 from __future__ import annotations
@@ -247,12 +247,7 @@ def _kv_table(pairs: list[tuple[str, object]]) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    try:
-        report = totals(args.n, args.order, args.p, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    data = report.as_dict()
+    data = totals(args.n, args.order, args.p, args.q).as_dict()
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
     else:
@@ -261,15 +256,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        monos = []
-        if args.kind in ("dunham", "both"):
-            monos.extend(enumerate_dunham(args.n, args.order))
-        if args.kind in ("coupling", "both"):
-            monos.extend(enumerate_coupling(args.n, args.order, args.p, args.q))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    monos = []
+    if args.kind in ("dunham", "both"):
+        monos.extend(enumerate_dunham(args.n, args.order))
+    if args.kind in ("coupling", "both"):
+        monos.extend(enumerate_coupling(args.n, args.order, args.p, args.q))
     if args.format == "json":
         _emit(monomials_to_json(monos) + "\n", args.out)
     else:
@@ -316,12 +307,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        audit = audit_counting(args.order, args.p, args.q, args.kind)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    data = asdict(audit)
+    data = asdict(audit_counting(args.order, args.p, args.q, args.kind))
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
     else:
@@ -335,16 +321,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     try:
         model = parse_model_file(args.model)
     except OSError as exc:
-        print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot read {args.model}: {exc}") from None
     except ModelFileError as exc:
-        print(f"error: {args.model}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        blocks, rows = spectrum(model, args.pmax, args.n3max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.model}: {exc}") from None
+    blocks, rows = spectrum(model, args.pmax, args.n3max)
     with _output(args.out) as fh:
         if args.format == "json":
             payload = [
@@ -363,15 +343,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_phase_space(args: argparse.Namespace) -> int:
     fixed = tuple(args.sigma)
     n = 2 + len(fixed)
-    try:
-        spec = ResonanceSpec(n=n, p=args.p, q=args.q)
-        # flag value is h0 over the second frequency; rescale to the
-        # exact-unit convention (second frequency = p) phase_curve expects
-        h0 = args.h0 * spec.float_omegas()[1]
-        points = phase_curve(spec, h0, fixed, args.samples)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = ResonanceSpec(n=n, p=args.p, q=args.q)
+    # flag value is h0 over the second frequency; rescale to the
+    # exact-unit convention (second frequency = p) phase_curve expects
+    h0 = args.h0 * spec.float_omegas()[1]
+    points = phase_curve(spec, h0, fixed, args.samples)
     with _output(args.out) as fh:
         if args.format == "json":
             payload = [
@@ -464,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -323,8 +323,8 @@ class PolyadBlock:
 # Largest caps box a call allocates: every candidate occupation vector is
 # one int64 row, about 100 MB at n = 3.
 MAX_BOX_STATES = 2 ** 22
-# Largest sum of dim ** 2 over the blocks of a call: each block keeps its
-# dense float64 matrix, so this holds them to 32 MB.
+# Largest sum of dim ** 2 over the blocks of a call: one float64 buffer
+# holds every block matrix, so this holds it to 32 MB.
 MAX_MATRIX_ENTRIES = 2 ** 22
 
 
@@ -355,13 +355,16 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     candidates, or blocks over MAX_MATRIX_ENTRIES entries in all, raise
     ValueError before anything is allocated or assembled.
 
-    Each term is applied to the whole basis at once. Targets are found by
-    binary search on mixed-radix keys of the states; elements of terms
-    whose raising branch leaves the block (a shift breaking the labeling,
-    or an image beyond the caps) are dropped by the projection. Ladder
-    amplitudes are square roots of exact integer products, and every
-    element sums its contributions in the order of a scan by source state
-    then term, so the matrix equals the one assembled state by state.
+    A state's key is its box row, and each term is applied once to every
+    kept state. A term whose shift changes the label leaves every block and
+    is projected out whole; any other lands in the source's own block,
+    unless it falls below the vacuum or past the caps, where it is dropped.
+    Ladder amplitudes are square roots of exact integer products. An
+    element [a, b], a before b in the basis, sums the raising branches from
+    a, whose shifts are lexicographically positive, before those from b,
+    whose shifts are negative. Running the positive shifts first, each
+    group in model order, therefore gives the matrix assembled state by
+    state. The block matrices are views of one buffer.
     """
     spec = model.spec
     n = spec.n
@@ -370,66 +373,55 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     if size > MAX_BOX_STATES:
         raise ValueError(f"caps {tuple(caps)} span {size} candidate states, "
                          f"over the limit of {MAX_BOX_STATES}")
+    lat = np.array(lattice, dtype=np.int64).reshape(len(lattice), n)
     box = np.indices(dims).reshape(n, -1).T
-    labels = box @ np.array(lattice, dtype=np.int64).reshape(len(lattice), n).T
-    kept = np.flatnonzero(select(labels))
-    kept = kept[np.lexsort([kept, *labels[kept].T[::-1]])]  # by label, then box order
-    cuts = np.flatnonzero(np.any(np.diff(labels[kept], axis=0), axis=1)) + 1
-    groups = np.split(kept, cuts) if len(kept) else []
-    entries = sum(len(g) ** 2 for g in groups)
+    labels = box @ lat.T
+    rows = np.flatnonzero(select(labels))
+    uniq, inverse, dim = np.unique(labels[rows], axis=0, return_inverse=True,
+                                   return_counts=True)
+    rows = rows[np.argsort(inverse.ravel(), kind="stable")]  # by label, then box order
+    area = dim ** 2
+    entries = int(area.sum())
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"blocks hold {entries} matrix entries, "
                          f"over the limit of {MAX_MATRIX_ENTRIES}")
-    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)], dtype=np.int64)
+    where = np.full(size, -1)
+    where[rows] = np.arange(len(rows))
+    first, offset = np.cumsum(dim) - dim, np.cumsum(area) - area
+    local = np.arange(len(rows)) - np.repeat(first, dim)  # position in the block
+    width, base = np.repeat(dim, dim), np.repeat(offset, dim)
+    diagonal = base + local * (width + 1)
+    occ = box[rows]
+    buf = np.zeros(entries)
+    terms = [t for t in model.terms if t.coeff != 0.0]
+    terms.sort(key=lambda t: (term_shift(t, spec) or (0,) * n) < (0,) * n)
+    for t in terms:
+        raise_v, lower_v, num_exps = ladder_form(t, spec)
+        shift = np.subtract(raise_v, lower_v)
+        if np.any(lat @ shift):
+            continue
+        digits = _number_factors(occ, num_exps)
+        if t.kind == "dunham":
+            buf[diagonal] += t.coeff * digits
+            continue
+        target = occ + shift
+        src = np.flatnonzero((digits != 0.0) & np.all(occ >= lower_v, axis=1)
+                             & np.all(target < dims, axis=1))
+        col, row = local[src], local[where[np.ravel_multi_index(target[src].T, dims)]]
+        sq = np.ones(len(src), dtype=object)
+        for k, (low, high) in enumerate(zip(lower_v, raise_v)):
+            for j in [*range(low), *range(low - high, low)]:
+                sq = sq * (occ[src, k] - j).astype(object)
+        amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
+        val = t.coeff * (digits[src] * amp)
+        buf[base[src] + row * width[src] + col] += val  # distinct within one term
+        buf[base[src] + col * width[src] + row] += val
+    states = list(map(tuple, occ.tolist()))
     blocks = []
-    for group in groups:
-        basis = box[group]
-        dim = len(basis)
-        keys = basis @ strides  # ascending, as the basis is lexicographic
-
-        diagonal = np.zeros(dim)
-        src_parts, tgt_parts, val_parts = [], [], []
-        for t in model.terms:
-            if t.coeff == 0.0:
-                continue
-            if t.kind == "dunham":
-                diagonal += t.coeff * _number_factors(basis, t.num_exps)
-                continue
-            raise_v, lower_v, num_exps = ladder_form(t, spec)
-            digits = _number_factors(basis, num_exps)
-            target = basis + np.array(term_shift(t, spec))
-            keep = (digits != 0.0) & np.all(basis >= np.array(lower_v), axis=1) \
-                & np.all(target < np.array(dims), axis=1)
-            src = np.flatnonzero(keep)
-            tkeys = target[src] @ strides
-            pos = np.minimum(np.searchsorted(keys, tkeys), dim - 1)
-            hit = keys[pos] == tkeys  # otherwise leaves the block: projected out
-            src, tgt = src[hit], pos[hit]
-            sq = np.ones(len(src), dtype=object)
-            for k in range(n):
-                occ = basis[src, k].astype(object)
-                for j in range(lower_v[k]):
-                    sq = sq * (occ - j)
-                for j in range(1, raise_v[k] + 1):
-                    sq = sq * (occ - lower_v[k] + j)
-            amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
-            src_parts.append(src)
-            tgt_parts.append(tgt)
-            val_parts.append(t.coeff * (digits[src] * amp))
-
-        mat = np.diag(diagonal)
-        if src_parts:
-            src = np.concatenate(src_parts)
-            # stable: within one source state, terms keep their model order
-            order = np.argsort(src, kind="stable")
-            src, tgt = src[order], np.concatenate(tgt_parts)[order]
-            val = np.concatenate(val_parts)[order]
-            rows = np.stack([tgt, src], axis=1).ravel()
-            cols = np.stack([src, tgt], axis=1).ravel()
-            np.add.at(mat, (rows, cols), np.repeat(val, 2))
+    for label, i, d, o in zip(uniq.tolist(), first.tolist(), dim.tolist(), offset.tolist()):
+        mat = buf[o:o + d * d].reshape(d, d)
         eig = tuple(float(x) for x in np.linalg.eigvalsh(mat))
-        blocks.append(PolyadBlock(label=tuple(labels[group[0]].tolist()),
-                                  basis=tuple(map(tuple, basis.tolist())),
+        blocks.append(PolyadBlock(label=tuple(label), basis=tuple(states[i:i + d]),
                                   matrix=mat, eigenvalues=eig))
     return blocks
 

@@ -197,6 +197,10 @@ class PhaseCurvePoint:
     sigma0p: float
 
 
+# Most samples one curve takes; each sample gives two points.
+MAX_SAMPLES = 10 ** 5
+
+
 def _curve_rhs(spec: ResonanceSpec, h0: float, fixed_sigma: Sequence[float],
                sigma1: float) -> float:
     omegas = spec.float_omegas()
@@ -228,10 +232,10 @@ def phase_curve(spec: ResonanceSpec, h0: float,
     ------
     ValueError
         If h0 is too small for a nonempty admissible interval, or fewer
-        than 2 samples are requested.
+        than 2 or more than MAX_SAMPLES samples are requested.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"need between 2 and {MAX_SAMPLES} samples")
     if len(fixed_sigma) != max(spec.n - 2, 0):
         raise ValueError("fixed_sigma must cover modes 3..n")
     if any(s < 0 for s in fixed_sigma):

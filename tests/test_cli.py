@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import polyads
+from polyads import resonance
 from polyads.cli import (
     ModelFileError,
     main,
@@ -341,12 +342,38 @@ class TestPhaseSpaceCommand:
         assert (code, out) == (0, f"rows {rows}\n")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
+    def test_oversized_samples_exit_before_sampling(self, capsys, monkeypatch):
+        def curve_rhs(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(resonance, "_curve_rhs", curve_rhs)
+        code, out, err = run(capsys, "phase-space", "--p", "2", "--q", "1",
+                             "--h0", "1.5", "--samples", "1000000000")
+        assert (code, out) == (2, "")
+        assert err == f"error: need between 2 and {resonance.MAX_SAMPLES} samples\n"
+
     def test_json_points_carry_residuals(self, capsys):
         code, out, _ = run(capsys, "phase-space", "--p", "2", "--q", "1",
                            "--h0", "2.0", "--samples", "41", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert all(abs(pt["residual"]) < 1e-12 for pt in payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "2", "--p", "1", "--q", "1", "--order", "4"],
+    ["enumerate", "--n", "2", "--order", "4"],
+    ["verify-tables"],
+    ["audit", "--order", "8", "--p", "2", "--q", "1", "--kind", "2"],
+    ["spectrum", "--model", str(FIXTURE), "--pmax", "4"],
+    ["phase-space", "--p", "2", "--q", "1", "--h0", "1.5"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    out_file = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out_file) in err and not out_file.parent.exists()
 
 
 class TestPackaging:

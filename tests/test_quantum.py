@@ -678,6 +678,17 @@ class TestBuildBlockOracle:
             ref = build_block(m, b.label, (P, P // 2, n3))
             assert np.array_equal(b.basis, ref.basis)
             assert np.array_equal(b.matrix, ref.matrix)
+        # extras opposite to the Fermi shift, listed before the couplings:
+        # every block of one call sums its elements in the per-state order
+        m = _seeded_model(SPEC21, 10, seed=2,
+                          extras=[((0, 1, 0), (2, 0, 0)), ((0, 2, 0), (4, 0, 0))])
+        blocks, _ = spectrum(m, 18, 2)
+        assert len(blocks) == 19 * 3
+        for b in blocks:
+            P, n3 = b.label
+            states, mat = _reference_block(m, b.label, (P, P // 2, n3))
+            assert b.basis == states
+            assert np.array_equal(b.matrix, mat)
 
     def test_spectrum_three_two_skips_empty_labels(self):
         # P = 2 n1 + 3 n2 is never 1: that label has no states and no block

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyads import resonance
 from polyads.resonance import (
+    MAX_SAMPLES,
     GeneratorSet,
     PhaseCurvePoint,
     ResonanceSpec,
@@ -206,3 +208,25 @@ class TestPhaseCurve:
             s1, plus, minus, res = map(float, line.split(","))
             assert plus >= 0.0 >= minus
             assert abs(res) < 1e-12
+
+
+class TestSampleGuard:
+    class Sampled(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def curve_rhs(*args, **kwargs):
+            raise self.Sampled
+
+        monkeypatch.setattr(resonance, "_curve_rhs", curve_rhs)
+
+    def test_oversized_samples_rejected_before_sampling(self):
+        spec = ResonanceSpec(n=2, p=2, q=1)
+        for samples in (MAX_SAMPLES + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="samples"):
+                phase_curve(spec, 1.0, (), samples=samples)
+
+    def test_samples_at_the_limit_are_taken(self):
+        with pytest.raises(self.Sampled):
+            phase_curve(ResonanceSpec(n=2, p=2, q=1), 1.0, (), samples=MAX_SAMPLES)
