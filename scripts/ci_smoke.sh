@@ -1,0 +1,31 @@
+#!/bin/sh
+# Command-line smoke checks that need no test framework and no sympy.
+# Run from anywhere: sh scripts/ci_smoke.sh
+set -eu
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src
+MODEL=src/polyads/data/cloh.model
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
+# exit code 2 expected from "$@"
+expect_usage_error() {
+    status=0
+    timeout 60 "$@" || status=$?
+    test "$status" -eq 2
+}
+
+python -m polyads spectrum --model "$MODEL" --pmax 10 --n3max 1
+# a 3:2 model has no states at P = 1 and must still get a spectrum
+printf 'n=2\np=3\nq=2\norder=6\nomega 1 1000.0\nomega 2 1500.0\ncoupling 1 - 0.5\n' > "$TMP/three_two.model"
+python -m polyads spectrum --model "$TMP/three_two.model" --pmax 10
+# caps whose blocks exceed the matrix budget exit 2 before assembly
+expect_usage_error python -m polyads spectrum --model "$MODEL" --pmax 1500
+# an unwritable --out and an oversized sample count exit 2
+expect_usage_error python -m polyads spectrum --model "$MODEL" --pmax 4 --out /nonexistent/x
+expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1.5 --samples 1000000000
+# the shipped model survives parse and serialize byte for byte, comments aside
+grep -v '^#' "$MODEL" > "$TMP/body.model"
+python -c 'import sys; from polyads.cli import parse_model_file, serialize_model; sys.stdout.write(serialize_model(parse_model_file(sys.argv[1])))' "$MODEL" > "$TMP/round.model"
+cmp "$TMP/body.model" "$TMP/round.model"
+echo "smoke checks passed"

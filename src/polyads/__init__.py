@@ -52,24 +52,10 @@ from .zpoly import ComplexRational, ZMonomial, ZPolynomial, poisson_bracket
 
 __version__ = "0.1.0"
 
-_QUANTUM_NAMES = frozenset({
-    "FockState",
-    "HamiltonianModel",
-    "PolyadBlock",
-    "TermSpec",
-    "apply_term",
-    "build_block",
-    "census_terms",
-    "cloh_model",
-    "conserved_lattice",
-    "dunham_energy",
-    "polyad_lattice",
-    "spectrum",
-})
-
 
 def __getattr__(name: str):
-    if name in _QUANTUM_NAMES:
+    # names in __all__ left unbound here live in polyads.quantum
+    if name in __all__:
         from . import quantum
 
         return getattr(quantum, name)
@@ -100,6 +86,7 @@ __all__ = [
     "census_terms",
     "cloh_model",
     "conserved_lattice",
+    "coupling_term",
     "cumulative_multiplicity",
     "delta1_closed",
     "delta2_closed",

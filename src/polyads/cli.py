@@ -29,6 +29,12 @@ from .monomials import (
 from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
 
 _HEADER_KEYS = ("n", "p", "q", "order")
+_TERM_USAGE = {
+    "omega": "omega <mode> <value>",
+    "dunham": "dunham <factors> <value>",
+    "coupling": "coupling <power> <factors|-> <value>",
+    "extra": "extra <raise> <lower> <value>",
+}
 
 
 class ModelFileError(ValueError):
@@ -91,7 +97,7 @@ def _header_spec(header: dict[str, int], line_no: int, missing_msg: str
 
 def parse_model_text(text: str) -> "HamiltonianModel":
     """Parse model-file text. Header lines first, then one term per line."""
-    from .quantum import HamiltonianModel, TermSpec
+    from .quantum import HamiltonianModel, TermSpec, coupling_term
 
     header: dict[str, int] = {}
     terms: list[TermSpec] = []
@@ -123,56 +129,35 @@ def parse_model_text(text: str) -> "HamiltonianModel":
 
         parts = line.split()
         kind = parts[0]
+        usage = _TERM_USAGE.get(kind)
+        if usage is None:
+            raise ModelFileError(line_no, f"unknown term kind {kind!r}")
+        if len(parts) != len(usage.split()):
+            raise ModelFileError(line_no, f"expected: {usage}")
+        zero = (0,) * spec.n
+        coeff, coeff_text = _parse_value(parts[-1], line_no), parts[-1]
         try:
-            if kind == "omega":
-                if len(parts) != 3:
-                    raise ModelFileError(line_no, "expected: omega <mode> <value>")
-                exps = _parse_exps(f"{parts[1]}:1", spec.n, line_no, False)
-                term = TermSpec(kind="dunham", num_exps=exps,
-                                coeff=_parse_value(parts[2], line_no),
-                                coeff_text=parts[2])
-            elif kind == "dunham":
-                if len(parts) != 3:
-                    raise ModelFileError(line_no, "expected: dunham <factors> <value>")
-                exps = _parse_exps(parts[1], spec.n, line_no, False)
-                if 2 * sum(exps) > order:
-                    raise ModelFileError(line_no, f"degree {2 * sum(exps)} exceeds order {order}")
-                term = TermSpec(kind="dunham", num_exps=exps,
-                                coeff=_parse_value(parts[2], line_no),
-                                coeff_text=parts[2])
-            elif kind == "coupling":
-                if len(parts) != 4:
-                    raise ModelFileError(line_no, "expected: coupling <power> <factors|-> <value>")
+            if kind == "coupling":
                 try:
                     m_exp = int(parts[1])
                 except ValueError:
                     raise ModelFileError(line_no, f"bad ladder power {parts[1]!r}") from None
-                if m_exp < 1:
-                    raise ModelFileError(line_no, "ladder power must be positive")
-                exps = _parse_exps(parts[2], spec.n, line_no, True)
-                degree = (spec.p + spec.q) * m_exp + 2 * sum(exps)
-                if degree > order:
-                    raise ModelFileError(line_no, f"degree {degree} exceeds order {order}")
-                term = TermSpec(kind="coupling", m_exp=m_exp, num_exps=exps,
-                                coeff=_parse_value(parts[3], line_no),
-                                coeff_text=parts[3])
+                term = coupling_term(spec, m_exp, _parse_exps(parts[2], spec.n, line_no, True),
+                                     coeff, coeff_text)
             elif kind == "extra":
-                if len(parts) != 4:
-                    raise ModelFileError(line_no, "expected: extra <raise> <lower> <value>")
-                raise_v = _parse_exps(parts[1], spec.n, line_no, True)
-                lower_v = _parse_exps(parts[2], spec.n, line_no, True)
-                degree = sum(raise_v) + sum(lower_v)
-                if degree > order:
-                    raise ModelFileError(line_no, f"degree {degree} exceeds order {order}")
-                term = TermSpec(kind="extra", raise_exps=raise_v, lower_exps=lower_v,
-                                coeff=_parse_value(parts[3], line_no),
-                                coeff_text=parts[3])
+                term = TermSpec("extra", _parse_exps(parts[1], spec.n, line_no, True),
+                                _parse_exps(parts[2], spec.n, line_no, True), zero,
+                                coeff, coeff_text)
             else:
-                raise ModelFileError(line_no, f"unknown term kind {kind!r}")
+                token = f"{parts[1]}:1" if kind == "omega" else parts[1]
+                term = TermSpec("dunham", zero, zero,
+                                _parse_exps(token, spec.n, line_no, False), coeff, coeff_text)
         except ModelFileError:
             raise
         except ValueError as exc:
             raise ModelFileError(line_no, str(exc)) from None
+        if term.degree > order:
+            raise ModelFileError(line_no, f"degree {term.degree} exceeds order {order}")
         if term.key in seen:
             raise ModelFileError(line_no, f"duplicate term {line!r}")
         seen.add(term.key)
@@ -213,7 +198,8 @@ def serialize_model(model: "HamiltonianModel", comment: Optional[str] = None) ->
             else:
                 lines.append(f"dunham {_exps_token(t.num_exps)} {value}")
         elif t.kind == "coupling":
-            lines.append(f"coupling {t.m_exp} {_exps_token(t.num_exps)} {value}")
+            lines.append(f"coupling {t.raise_exps[0] // spec.p} "
+                         f"{_exps_token(t.num_exps)} {value}")
         else:
             lines.append(f"extra {_exps_token(t.raise_exps)} "
                          f"{_exps_token(t.lower_exps)} {value}")

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .monomials import GenMonomial, enumerate_coupling, enumerate_dunham, sort_monomials
+from .monomials import enumerate_coupling, enumerate_dunham, sort_monomials
 from .resonance import ResonanceSpec
 
 FockState = tuple[int, ...]
@@ -28,56 +28,68 @@ TermKind = Literal["dunham", "coupling", "extra"]
 
 @dataclass(frozen=True)
 class TermSpec:
-    """One coefficient slot of the Hamiltonian.
+    """One coefficient slot: the operator a+^raise a^lower N^num plus its
+    transpose, the three exponent vectors of length n each.
 
-    kind "dunham": diagonal product of number operators N_k^{r_k}.
-    kind "coupling": the self-adjoint pair built on the m-th power of the
-    resonance ladder, times an optional number string (num_exps).
-    kind "extra": an explicit ladder pair given by raise/lower exponent
-    vectors (no number string).
+    The number string N^num stands rightmost, so the written (raising)
+    member weighs its source ket. ``kind`` is the model-file keyword and
+    restricts the shape: "dunham" is a number string alone (no ladder, the
+    pair collapses to the one diagonal operator), "coupling" a power of the
+    resonance ladder (see coupling_term) and "extra" a bare ladder pair with
+    no number string. Every off-diagonal term shifts occupation.
     """
 
     kind: TermKind
-    num_exps: tuple[int, ...] = ()
-    m_exp: int = 0
-    raise_exps: Optional[tuple[int, ...]] = None
-    lower_exps: Optional[tuple[int, ...]] = None
+    raise_exps: tuple[int, ...]
+    lower_exps: tuple[int, ...]
+    num_exps: tuple[int, ...]
     coeff: float = 0.0
     coeff_text: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind == "dunham":
-            if self.m_exp or self.raise_exps or self.lower_exps:
-                raise ValueError("dunham terms are pure number strings")
-            if sum(self.num_exps) < 1:
-                raise ValueError("dunham term needs at least one factor")
-        elif self.kind == "coupling":
-            if self.m_exp < 1:
-                raise ValueError("coupling term needs a positive ladder power")
-            if self.raise_exps or self.lower_exps:
-                raise ValueError("coupling ladder is implied by the resonance")
-        elif self.kind == "extra":
-            if self.raise_exps is None or self.lower_exps is None:
-                raise ValueError("extra term needs raise and lower vectors")
-            if self.m_exp or self.num_exps:
-                raise ValueError("extra terms carry only ladder vectors")
-            if any(e < 0 for e in self.raise_exps + self.lower_exps):
-                raise ValueError("ladder exponents are non-negative")
-            if self.raise_exps == self.lower_exps:
-                raise ValueError("extra term must shift occupation")
-        else:
+        if self.kind not in ("dunham", "coupling", "extra"):
             raise ValueError(f"unknown term kind {self.kind!r}")
+        if not len(self.raise_exps) == len(self.lower_exps) == len(self.num_exps):
+            raise ValueError("raise, lower and number exponents need one length")
+        if min(self.raise_exps + self.lower_exps + self.num_exps, default=0) < 0:
+            raise ValueError("exponents are non-negative")
+        if self.kind == "dunham":
+            if any(self.raise_exps) or any(self.lower_exps):
+                raise ValueError("dunham terms are pure number strings")
+            if not any(self.num_exps):
+                raise ValueError("dunham term needs at least one factor")
+        elif not any(self.shift):
+            raise ValueError(f"{self.kind} term must shift occupation")
+        elif self.kind == "extra" and any(self.num_exps):
+            raise ValueError("extra terms carry only ladder vectors")
 
     @property
     def key(self) -> tuple:
-        if self.kind == "dunham":
-            return ("dunham", self.num_exps)
-        if self.kind == "coupling":
-            return ("coupling", self.m_exp, self.num_exps)
-        return ("extra", self.raise_exps, self.lower_exps)
+        return (self.kind, self.raise_exps, self.lower_exps, self.num_exps)
+
+    @property
+    def shift(self) -> tuple[int, ...]:
+        """Occupation change of the raising branch; zero for diagonal terms."""
+        return tuple(r - l for r, l in zip(self.raise_exps, self.lower_exps))
+
+    @property
+    def degree(self) -> int:
+        """Polynomial degree in the oscillator variables."""
+        return sum(self.raise_exps) + sum(self.lower_exps) + 2 * sum(self.num_exps)
 
     def coeff_str(self) -> str:
         return self.coeff_text if self.coeff_text is not None else repr(self.coeff)
+
+
+def coupling_term(spec: ResonanceSpec, m: int, num_exps: Sequence[int],
+                  coeff: float = 0.0, coeff_text: Optional[str] = None) -> TermSpec:
+    """The coupling slot on the m-th power of the resonance ladder:
+    a1+^(p m) a2^(q m) N^num_exps plus its transpose."""
+    if m < 1:
+        raise ValueError("ladder power must be positive")
+    rest = (0,) * (spec.n - 2)
+    return TermSpec("coupling", (spec.p * m, 0) + rest, (0, spec.q * m) + rest,
+                    tuple(num_exps), coeff, coeff_text)
 
 
 @dataclass(frozen=True)
@@ -89,16 +101,21 @@ class HamiltonianModel:
     terms: tuple[TermSpec, ...]
 
     def __post_init__(self):
-        n = self.spec.n
+        spec = self.spec
         seen = set()
         for t in self.terms:
-            if t.key in seen:
-                raise ValueError(f"duplicate term {t.key}")
-            seen.add(t.key)
-            vecs = [t.num_exps] if t.kind != "extra" else [t.raise_exps, t.lower_exps]
-            for v in vecs:
-                if v and len(v) != n:
-                    raise ValueError(f"term {t.key} does not match n={n}")
+            key = t.key
+            if key in seen:
+                raise ValueError(f"duplicate term {key}")
+            seen.add(key)
+            if len(t.num_exps) != spec.n:
+                raise ValueError(f"term {key} does not match n={spec.n}")
+            if t.degree > self.order:
+                raise ValueError(f"term {key} has degree {t.degree}, over order {self.order}")
+            m = t.raise_exps[0] // spec.p
+            if t.kind == "coupling" and (
+                    m < 1 or key != coupling_term(spec, m, t.num_exps).key):
+                raise ValueError(f"term {key} is no power of the {spec.p}:{spec.q} ladder")
 
     def dunham_terms(self) -> list[TermSpec]:
         return [t for t in self.terms if t.kind == "dunham"]
@@ -166,45 +183,21 @@ def _number_factor(f: FockState, exps: Sequence[int]) -> float:
     return out
 
 
-def ladder_form(t: TermSpec, spec: ResonanceSpec
-                ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(raise, lower, num_exps) of the written (raising) member of a term.
-
-    A dunham term has an empty ladder. A coupling term raises mode 1 by
-    p m and lowers mode 2 by q m; an extra term carries its own ladder and
-    no number string.
-    """
-    n = spec.n
-    if t.kind == "dunham":
-        return (0,) * n, (0,) * n, t.num_exps
-    if t.kind == "coupling":
-        rest = (0,) * (n - 2)
-        return (spec.p * t.m_exp, 0) + rest, (0, spec.q * t.m_exp) + rest, t.num_exps
-    return t.raise_exps, t.lower_exps, ()
-
-
-def term_shift(t: TermSpec, spec: ResonanceSpec) -> Optional[tuple[int, ...]]:
-    """Occupation change of the raising branch; None for diagonal terms."""
-    if t.kind == "dunham":
-        return None
-    raise_v, lower_v, _ = ladder_form(t, spec)
-    return tuple(r - l for r, l in zip(raise_v, lower_v))
-
-
 def raising_branch(t: TermSpec, f: FockState, spec: ResonanceSpec
                    ) -> Optional[tuple[FockState, float]]:
     """The written (raising) member of the pair applied to ``f``.
 
     Number factors are evaluated on the incoming state, matching the
-    operator order with the number string rightmost.
+    operator order with the number string rightmost. ``spec`` is unused,
+    since the term carries its own ladder; it goes when ROADMAP item 5
+    rewrites the benchmark tracer, which passes it.
     """
     if t.kind == "dunham":
         return None
-    raise_v, lower_v, num_exps = ladder_form(t, spec)
-    digits = _number_factor(f, num_exps)
+    digits = _number_factor(f, t.num_exps)
     if digits == 0.0:
         return None
-    hop = _ladder(f, raise_v, lower_v)
+    hop = _ladder(f, t.raise_exps, t.lower_exps)
     if hop is None:
         return None
     target, amp = hop
@@ -215,12 +208,12 @@ def apply_term(t: TermSpec, f: FockState, spec: ResonanceSpec
                ) -> list[tuple[FockState, float]]:
     """Action of one self-adjoint term (both ladder branches) on a state.
 
-    Diagonal terms return [(f, product of n_k^{r_k})]. Coupling terms are
-    the pair R D + (R D)^T with the number string D rightmost in the
-    written (raising) member, so the raising branch evaluates D on the
-    incoming state and the transposed branch on the outgoing one. Extra
-    terms are the plain ladder pair. Annihilation below the vacuum, or a
-    vanishing number factor, silently drops a branch.
+    Diagonal terms return [(f, product of n_k^{r_k})]. Other terms are the
+    pair R D + (R D)^T with the number string D rightmost in the written
+    (raising) member, so the raising branch evaluates D on the incoming
+    state and the transposed branch on the outgoing one. Annihilation
+    below the vacuum, or a vanishing number factor, silently drops a
+    branch. ``spec`` is unused, as in raising_branch.
     """
     if t.kind == "dunham":
         amp = _number_factor(f, t.num_exps)
@@ -229,11 +222,10 @@ def apply_term(t: TermSpec, f: FockState, spec: ResonanceSpec
     up = raising_branch(t, f, spec)
     if up is not None:
         out.append(up)
-    raise_v, lower_v, num_exps = ladder_form(t, spec)
-    hop = _ladder(f, lower_v, raise_v)
+    hop = _ladder(f, t.lower_exps, t.raise_exps)
     if hop is not None:
         target, amp = hop
-        digits = _number_factor(target, num_exps)
+        digits = _number_factor(target, t.num_exps)
         if digits != 0.0:
             out.append((target, digits * amp))
     return out
@@ -293,8 +285,7 @@ def conserved_lattice(model: HamiltonianModel) -> list[tuple[int, ...]]:
     """
     n = model.spec.n
     # zero coefficients are census placeholders, not operators of the model
-    shifts = [term_shift(t, model.spec) for t in model.off_diagonal_terms()
-              if t.coeff != 0.0]
+    shifts = [t.shift for t in model.off_diagonal_terms() if t.coeff != 0.0]
     k = len(shifts)
     # rows of [S^T | I]: past the rank, the I part spans the integer kernel
     rows = [[s[i] for s in shifts] + [int(i == j) for j in range(n)] for i in range(n)]
@@ -366,8 +357,7 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     group in model order, therefore gives the matrix assembled state by
     state. The block matrices are views of one buffer.
     """
-    spec = model.spec
-    n = spec.n
+    n = model.spec.n
     dims = [max(c, -1) + 1 for c in caps]
     size = math.prod(dims)
     if size > MAX_BOX_STATES:
@@ -394,22 +384,21 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     occ = box[rows]
     buf = np.zeros(entries)
     terms = [t for t in model.terms if t.coeff != 0.0]
-    terms.sort(key=lambda t: (term_shift(t, spec) or (0,) * n) < (0,) * n)
+    terms.sort(key=lambda t: t.shift < (0,) * n)
     for t in terms:
-        raise_v, lower_v, num_exps = ladder_form(t, spec)
-        shift = np.subtract(raise_v, lower_v)
+        shift = np.array(t.shift)
         if np.any(lat @ shift):
             continue
-        digits = _number_factors(occ, num_exps)
+        digits = _number_factors(occ, t.num_exps)
         if t.kind == "dunham":
             buf[diagonal] += t.coeff * digits
             continue
         target = occ + shift
-        src = np.flatnonzero((digits != 0.0) & np.all(occ >= lower_v, axis=1)
+        src = np.flatnonzero((digits != 0.0) & np.all(occ >= t.lower_exps, axis=1)
                              & np.all(target < dims, axis=1))
         col, row = local[src], local[where[np.ravel_multi_index(target[src].T, dims)]]
         sq = np.ones(len(src), dtype=object)
-        for k, (low, high) in enumerate(zip(lower_v, raise_v)):
+        for k, (low, high) in enumerate(zip(t.lower_exps, t.raise_exps)):
             for j in [*range(low), *range(low - high, low)]:
                 sq = sq * (occ[src, k] - j).astype(object)
         amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
@@ -515,22 +504,17 @@ _CLOH_EXTRA = (((0, 0, 1), (0, 3, 0)), "0.19520")
 def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
     """Every coefficient slot of the order-N census, all zero.
 
-    One TermSpec per number-only monomial plus one per deduplicated
-    coupling pair, in canonical order; the slot count matches the
-    closed-form coefficient total.
+    One TermSpec per number-only monomial plus one per coupling pair, in
+    canonical order; the slot count matches the closed-form coefficient
+    total. A pair's two monomials differ only in the mixed generator, and
+    the m = -1 member stands for it.
     """
-    terms: list[TermSpec] = []
-    for mono in sort_monomials(enumerate_dunham(spec.n, order)):
-        terms.append(TermSpec(kind="dunham", num_exps=mono.num_exps,
-                              coeff=0.0, coeff_text="0"))
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for mono in sort_monomials(enumerate_coupling(spec.n, order, spec.p, spec.q)):
-        slot = (mono.m_exp, mono.num_exps)
-        if slot in seen:
-            continue  # one coefficient serves the pair
-        seen.add(slot)
-        terms.append(TermSpec(kind="coupling", m_exp=mono.m_exp,
-                              num_exps=mono.num_exps, coeff=0.0, coeff_text="0"))
+    zero = (0,) * spec.n
+    terms = [TermSpec("dunham", zero, zero, mono.num_exps, 0.0, "0")
+             for mono in sort_monomials(enumerate_dunham(spec.n, order))]
+    terms += [coupling_term(spec, mono.m_exp, mono.num_exps, 0.0, "0")
+              for mono in sort_monomials(enumerate_coupling(spec.n, order, spec.p, spec.q))
+              if mono.m_part == -1]
     return tuple(terms)
 
 
@@ -544,12 +528,10 @@ def cloh_model() -> HamiltonianModel:
     spec = ResonanceSpec(n=3, p=2, q=1)
     terms: list[TermSpec] = []
     for slot in census_terms(spec, 10):
-        if slot.kind == "dunham":
-            text = _CLOH_DUNHAM_TEXT.get(slot.num_exps, "0")
-        else:
-            text = _CLOH_COUPLING_TEXT.get((slot.m_exp, slot.num_exps), "0")
+        m = slot.raise_exps[0] // spec.p
+        text = (_CLOH_COUPLING_TEXT.get((m, slot.num_exps), "0") if m
+                else _CLOH_DUNHAM_TEXT.get(slot.num_exps, "0"))
         terms.append(replace(slot, coeff=float(text), coeff_text=text))
     (raise_v, lower_v), text = _CLOH_EXTRA
-    terms.append(TermSpec(kind="extra", raise_exps=raise_v, lower_exps=lower_v,
-                          coeff=float(text), coeff_text=text))
+    terms.append(TermSpec("extra", raise_v, lower_v, (0, 0, 0), float(text), text))
     return HamiltonianModel(spec=spec, order=10, terms=tuple(terms))

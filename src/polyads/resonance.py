@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .zpoly import (
     CR_MINUS_I,

@@ -10,7 +10,7 @@ kernel membership) is checked with zero residual, never a tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class ComplexRational(NamedTuple):

@@ -32,6 +32,7 @@ from polyads.quantum import (
     build_block,
     cloh_model,
     conserved_lattice,
+    coupling_term,
     dunham_energy,
     spectrum,
     state_label,
@@ -276,14 +277,14 @@ def test_10_weak_coupling_second_order_shift():
     e1, e2 = 700.0, 1500.0
     gap = abs(2 * e1 - e2)
     base = (
-        TermSpec(kind="dunham", num_exps=(1, 0), coeff=e1),
-        TermSpec(kind="dunham", num_exps=(0, 1), coeff=e2),
+        TermSpec("dunham", (0, 0), (0, 0), num_exps=(1, 0), coeff=e1),
+        TermSpec("dunham", (0, 0), (0, 0), num_exps=(0, 1), coeff=e2),
     )
     worst = 0.0
     for scale in (1e-3, 1e-2):
         c = scale * gap
         m = HamiltonianModel(spec=spec, order=10, terms=base + (
-            TermSpec(kind="coupling", num_exps=(0, 0), m_exp=1, coeff=c),))
+            coupling_term(spec, 1, (0, 0), coeff=c),))
         lo, hi = build_block(m, (2,), [20, 10]).eigenvalues
         v2 = 2.0 * c * c  # squared off-diagonal element sqrt(2) c
         for got, predicted in ((lo, 2 * e1 - v2 / gap), (hi, e2 + v2 / gap)):

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyads
 from polyads import resonance
@@ -20,7 +24,14 @@ from polyads.cli import (
     parse_model_text,
     serialize_model,
 )
-from polyads.quantum import cloh_model, dunham_energy
+from polyads.quantum import (
+    HamiltonianModel,
+    TermSpec,
+    census_terms,
+    cloh_model,
+    dunham_energy,
+)
+from polyads.resonance import ResonanceSpec
 
 FIXTURE = Path(polyads.__file__).parent / "data" / "cloh.model"
 
@@ -36,7 +47,40 @@ coupling 1 - 0.1
 """
 
 
+@st.composite
+def census_models(draw):
+    """A random subset of an order-N census with ladder powers up to 3, plus
+    extra ladder pairs, every slot with its own coefficient text."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(1, p).filter(lambda q: math.gcd(p, q) == 1))
+    order = draw(st.integers(4, 12))
+    spec = ResonanceSpec(n=n, p=p, q=q)
+    slots = [t for t in census_terms(spec, order) if t.raise_exps[0] <= 3 * p]
+    chosen = draw(st.lists(st.sampled_from(slots), max_size=12, unique=True))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    ladders = draw(st.lists(st.tuples(vector, vector).filter(
+        lambda rl: rl[0] != rl[1] and sum(rl[0]) + sum(rl[1]) <= order),
+        max_size=3, unique=True))
+    extras = [TermSpec("extra", r, lo, (0,) * n) for r, lo in ladders]
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    terms = []
+    for t in draw(st.permutations(chosen + extras)):
+        value = draw(values)
+        terms.append(replace(t, coeff=value, coeff_text=repr(value)))
+    return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
+
+
 class TestModelGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(census_models())
+    def test_census_models_round_trip(self, model):
+        text = serialize_model(model)
+        parsed = parse_model_text(text)
+        assert parsed.terms == model.terms
+        assert parsed == model
+        assert serialize_model(parsed) == text
+
     def test_minimal_round_trip(self):
         m = parse_model_text(MINIMAL)
         assert m.spec.n == 2 and m.spec.p == 2 and m.spec.q == 1

@@ -28,13 +28,12 @@ from polyads.quantum import (
     census_terms,
     cloh_model,
     conserved_lattice,
+    coupling_term,
     dunham_energy,
-    ladder_form,
     polyad_lattice,
     raising_branch,
     spectrum,
     state_label,
-    term_shift,
     write_spectrum_csv,
 )
 from polyads.resonance import ResonanceSpec
@@ -47,63 +46,108 @@ FIXTURE = Path(quantum.__file__).parent / "data" / "cloh.model"
 def _shift_model(shifts):
     """A model with one extra ladder pair per occupation shift."""
     terms = tuple(TermSpec(kind="extra", raise_exps=tuple(max(x, 0) for x in s),
-                           lower_exps=tuple(max(-x, 0) for x in s), coeff=1.0)
+                           lower_exps=tuple(max(-x, 0) for x in s),
+                           num_exps=(0,) * len(s), coeff=1.0)
                   for s in shifts)
     return HamiltonianModel(spec=ResonanceSpec(n=len(shifts[0]), p=1, q=1),
                             order=99, terms=terms)
 
 
 def fermi(coeff=1.0, num_exps=(0, 0, 0)):
-    return TermSpec(kind="coupling", num_exps=num_exps, m_exp=1, coeff=coeff)
+    return coupling_term(SPEC21, 1, num_exps, coeff)
+
+
+def number_string(num_exps, coeff=0.0, coeff_text=None):
+    zero = (0,) * len(num_exps)
+    return TermSpec("dunham", zero, zero, num_exps, coeff, coeff_text)
 
 
 class TestTermSpec:
     def test_dunham_needs_a_number_operator(self):
         with pytest.raises(ValueError):
-            TermSpec(kind="dunham", num_exps=(0, 0, 0))
-        TermSpec(kind="dunham", num_exps=(0, 1, 0))
+            number_string((0, 0, 0))
+        number_string((0, 1, 0))
 
     def test_dunham_rejects_ladder_parts(self):
-        with pytest.raises(ValueError):
-            TermSpec(kind="dunham", num_exps=(1, 0), m_exp=1)
-        with pytest.raises(ValueError):
-            TermSpec(kind="dunham", num_exps=(1, 0), raise_exps=(1, 0))
+        with pytest.raises(ValueError, match="pure number strings"):
+            TermSpec(kind="dunham", raise_exps=(2, 0), lower_exps=(0, 1), num_exps=(1, 0))
+        with pytest.raises(ValueError, match="pure number strings"):
+            TermSpec(kind="dunham", raise_exps=(1, 0), lower_exps=(0, 0), num_exps=(1, 0))
 
     def test_coupling_needs_positive_mixed_power(self):
         with pytest.raises(ValueError):
-            TermSpec(kind="coupling", num_exps=(1, 0, 0))
+            TermSpec(kind="coupling", raise_exps=(0, 0, 0), lower_exps=(0, 0, 0),
+                     num_exps=(1, 0, 0))
+        with pytest.raises(ValueError, match="ladder power must be positive"):
+            coupling_term(SPEC21, 0, (1, 0, 0))
         fermi(num_exps=(1, 0, 0))
 
     def test_extra_needs_distinct_ladders(self):
-        TermSpec(kind="extra", raise_exps=(0, 0, 1), lower_exps=(0, 3, 0))
+        TermSpec(kind="extra", raise_exps=(0, 0, 1), lower_exps=(0, 3, 0), num_exps=(0, 0, 0))
         with pytest.raises(ValueError):
-            TermSpec(kind="extra", raise_exps=(0, 1, 0), lower_exps=(0, 1, 0))
+            TermSpec(kind="extra", raise_exps=(0, 1, 0), lower_exps=(0, 1, 0),
+                     num_exps=(0, 0, 0))
         with pytest.raises(ValueError):
-            TermSpec(kind="extra", raise_exps=(0, 1, 0))
+            TermSpec(kind="extra", raise_exps=(0, 1, 0), lower_exps=(), num_exps=(0, 0, 0))
         with pytest.raises(ValueError):
-            TermSpec(kind="extra", raise_exps=(0, -1, 0), lower_exps=(1, 0, 0))
+            TermSpec(kind="extra", raise_exps=(0, -1, 0), lower_exps=(1, 0, 0),
+                     num_exps=(0, 0, 0))
+
+    def test_extra_carries_no_number_string(self):
+        with pytest.raises(ValueError, match="only ladder vectors"):
+            TermSpec(kind="extra", raise_exps=(0, 0, 1), lower_exps=(0, 3, 0),
+                     num_exps=(1, 0, 0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            TermSpec(kind="quartic", num_exps=(1, 0))
+            TermSpec(kind="quartic", raise_exps=(0, 0), lower_exps=(0, 0), num_exps=(1, 0))
+
+    def test_shift_and_degree_read_the_ladder(self):
+        assert fermi(num_exps=(0, 0, 2)).shift == (2, -1, 0)
+        assert fermi(num_exps=(0, 0, 2)).degree == 3 + 4
+        t = coupling_term(ResonanceSpec(n=2, p=3, q=2), 2, (1, 0))
+        assert (t.raise_exps, t.lower_exps, t.shift, t.degree) == ((6, 0), (0, 4), (6, -4), 12)
+        assert number_string((1, 2, 0)).shift == (0, 0, 0)
+        assert number_string((1, 2, 0)).degree == 6
+        extra = TermSpec("extra", (0, 0, 1), (0, 3, 0), (0, 0, 0))
+        assert (extra.shift, extra.degree) == ((0, -3, 1), 4)
 
     def test_coeff_str_prefers_source_text(self):
-        t = TermSpec(kind="dunham", num_exps=(1,), coeff=-7.123,
-                     coeff_text="-7.123")
+        t = number_string((1,), coeff=-7.123, coeff_text="-7.123")
         assert t.coeff_str() == "-7.123"
-        bare = TermSpec(kind="dunham", num_exps=(1,), coeff=0.5)
+        bare = number_string((1,), coeff=0.5)
         assert float(bare.coeff_str()) == 0.5
 
 
 class TestModel:
     def test_rejects_duplicate_keys(self):
-        t = TermSpec(kind="dunham", num_exps=(1, 0, 0), coeff=1.0)
+        t = number_string((1, 0, 0), coeff=1.0)
         with pytest.raises(ValueError):
             HamiltonianModel(spec=SPEC21, order=10, terms=(t, t))
 
     def test_rejects_wrong_vector_length(self):
-        t = TermSpec(kind="dunham", num_exps=(1, 0), coeff=1.0)
+        t = number_string((1, 0), coeff=1.0)
         with pytest.raises(ValueError):
+            HamiltonianModel(spec=SPEC21, order=10, terms=(t,))
+
+    @pytest.mark.parametrize("term", [
+        number_string((2, 1, 0), coeff=1.0),
+        coupling_term(SPEC21, 2, (0, 0, 1), coeff=1.0),
+        TermSpec("extra", (0, 0, 2), (0, 4, 0), (0, 0, 0), coeff=1.0),
+    ], ids=["dunham", "coupling", "extra"])
+    def test_rejects_degree_over_order(self, term):
+        # degrees 6, 8 and 6: each one over order 5, as the file parser rejects
+        with pytest.raises(ValueError, match="over order 5"):
+            HamiltonianModel(spec=SPEC21, order=5, terms=(term,))
+        HamiltonianModel(spec=SPEC21, order=term.degree, terms=(term,))
+
+    @pytest.mark.parametrize("raise_exps,lower_exps", [
+        ((3, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 1, 1)),
+        ((0, 2, 0), (1, 0, 0)),
+    ])
+    def test_rejects_coupling_off_the_resonance_ladder(self, raise_exps, lower_exps):
+        t = TermSpec("coupling", raise_exps, lower_exps, (0, 0, 0), coeff=1.0)
+        with pytest.raises(ValueError, match="no power of the 2:1 ladder"):
             HamiltonianModel(spec=SPEC21, order=10, terms=(t,))
 
     def test_counts_and_split(self):
@@ -123,12 +167,12 @@ class TestModel:
 
 class TestApplyTerm:
     def test_number_operator_square(self):
-        t = TermSpec(kind="dunham", num_exps=(2, 0, 0), coeff=1.0)
+        t = number_string((2, 0, 0), coeff=1.0)
         out = apply_term(t, (3, 0, 0), SPEC21)
         assert out == [((3, 0, 0), 9.0)]
 
     def test_number_operator_on_vacuum(self):
-        t = TermSpec(kind="dunham", num_exps=(1, 1, 0), coeff=1.0)
+        t = number_string((1, 1, 0), coeff=1.0)
         assert apply_term(t, (0, 0, 0), SPEC21) == []
 
     def test_fermi_pair_on_two_quanta(self):
@@ -213,7 +257,7 @@ class TestApplyTerm:
 
     def test_extra_pair(self):
         t = TermSpec(kind="extra", raise_exps=(0, 0, 1), lower_exps=(0, 3, 0),
-                     coeff=1.0)
+                     num_exps=(0, 0, 0), coeff=1.0)
         out = dict(apply_term(t, (0, 3, 0), SPEC21))
         assert out[(0, 0, 1)] == pytest.approx(math.sqrt(6.0))
         back = dict(apply_term(t, (0, 0, 1), SPEC21))
@@ -221,7 +265,7 @@ class TestApplyTerm:
 
     def test_raising_branch_shift(self):
         t = fermi()
-        assert term_shift(t, SPEC21) == (2, -1, 0)
+        assert t.shift == (2, -1, 0)
         got = raising_branch(t, (0, 1, 0), SPEC21)
         assert got is not None and got[0] == (2, 0, 0)
 
@@ -253,7 +297,7 @@ class TestLattices:
         for t in m.off_diagonal_terms():
             if t.coeff == 0.0:
                 continue
-            s = term_shift(t, m.spec)
+            s = t.shift
             for v in lat:
                 assert sum(a * b for a, b in zip(v, s)) == 0
 
@@ -434,7 +478,8 @@ class TestCensus:
             if t.kind == "dunham":
                 assert 1 <= sum(t.num_exps) <= 5
             else:
-                assert 3 * t.m_exp + 2 * sum(t.num_exps) <= 10
+                m = t.raise_exps[0] // spec.p
+                assert t.degree == 3 * m + 2 * sum(t.num_exps) <= 10
 
     def test_worked_model_operator_count(self):
         # 85 census slots + 1 extra pair; 115 census operators + 2
@@ -493,12 +538,11 @@ class TestPerturbativeLimit:
         e1, e2 = 700.0, 1500.0
         gap = abs(2 * e1 - e2)
         base = (
-            TermSpec(kind="dunham", num_exps=(1, 0), coeff=e1),
-            TermSpec(kind="dunham", num_exps=(0, 1), coeff=e2),
+            number_string((1, 0), coeff=e1),
+            number_string((0, 1), coeff=e2),
         )
         for c in (1e-3 * gap, 1e-2 * gap):
-            terms = base + (TermSpec(kind="coupling", num_exps=(0, 0),
-                                     m_exp=1, coeff=c),)
+            terms = base + (coupling_term(spec, 1, (0, 0), coeff=c),)
             m = HamiltonianModel(spec=spec, order=10, terms=terms)
             b = build_block(m, (2,), [20, 10])
             lo, hi = b.eigenvalues
@@ -576,9 +620,9 @@ def _seeded_model(spec, order, seed, extras=()):
     for raise_v, lower_v in extras:
         value = rng.uniform(-1.0, 1.0)
         terms.append(TermSpec(kind="extra", raise_exps=raise_v, lower_exps=lower_v,
-                              coeff=value, coeff_text=repr(value)))
+                              num_exps=(0,) * spec.n, coeff=value, coeff_text=repr(value)))
     for slot in census_terms(spec, order):
-        degree = sum(slot.num_exps) + slot.m_exp
+        degree = sum(slot.num_exps) + slot.raise_exps[0] // spec.p
         value = rng.uniform(-1.0, 1.0) * 10.0 ** (3 - degree)
         terms.append(replace(slot, coeff=value, coeff_text=repr(value)))
     return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
@@ -618,7 +662,7 @@ class TestBuildBlockOracle:
         # reverse of the Fermi shift, so both write the same elements
         m = _seeded_model(SPEC21, 10, seed=2,
                           extras=[((0, 1, 0), (2, 0, 0)), ((0, 2, 0), (4, 0, 0))])
-        shifts = {term_shift(t, SPEC21) for t in m.off_diagonal_terms()}
+        shifts = {t.shift for t in m.off_diagonal_terms()}
         assert {(2, -1, 0), (-2, 1, 0)} <= shifts
         for P in range(0, 20, 2):
             _assert_matches_reference(m, (P, 1), (P, P // 2, 1))
@@ -662,9 +706,8 @@ class TestBuildBlockOracle:
         # falling times rising products pass 2**63 at these occupations
         spec = ResonanceSpec(n=2, p=2, q=1)
         m = HamiltonianModel(spec=spec, order=12, terms=(
-            TermSpec(kind="coupling", m_exp=4, num_exps=(0, 0), coeff=1e-9),))
-        raise_v, lower_v, _ = ladder_form(m.terms[0], spec)
-        assert (raise_v, lower_v) == ((8, 0), (0, 4))
+            coupling_term(spec, 4, (0, 0), coeff=1e-9),))
+        assert (m.terms[0].raise_exps, m.terms[0].lower_exps) == ((8, 0), (0, 4))
         _assert_matches_reference(m, (160,), (160, 80))
 
     def test_spectrum_blocks_match_build_block(self):
