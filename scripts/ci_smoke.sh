@@ -24,6 +24,9 @@ expect_usage_error python -m polyads spectrum --model "$MODEL" --pmax 1500
 # an unwritable --out and an oversized sample count exit 2
 expect_usage_error python -m polyads spectrum --model "$MODEL" --pmax 4 --out /nonexistent/x
 expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1.5 --samples 1000000000
+# a header n too large to index a vector exits 2 before any term is built
+printf 'n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n' > "$TMP/huge_n.model"
+expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax 4
 # the shipped model survives parse and serialize byte for byte, comments aside
 grep -v '^#' "$MODEL" > "$TMP/body.model"
 python -c 'import sys; from polyads.cli import parse_model_file, serialize_model; sys.stdout.write(serialize_model(parse_model_file(sys.argv[1])))' "$MODEL" > "$TMP/round.model"

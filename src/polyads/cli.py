@@ -29,6 +29,11 @@ from .monomials import (
 from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
 
 _HEADER_KEYS = ("n", "p", "q", "order")
+# Most modes a model file may declare. The parser builds length-n exponent
+# vectors for every term line, so a mistyped n must fail before any of them
+# is allocated; 64 is above any vibrational model the grammar is for (a
+# 22-atom molecule has 3 * 22 - 6 = 60 modes).
+MAX_MODES = 64
 _TERM_USAGE = {
     "omega": "omega <mode> <value>",
     "dunham": "dunham <factors> <value>",
@@ -86,6 +91,8 @@ def _header_spec(header: dict[str, int], line_no: int, missing_msg: str
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ModelFileError(line_no, f"{missing_msg} {missing}")
+    if header["n"] > MAX_MODES:
+        raise ModelFileError(line_no, f"bad header: n is over the limit of {MAX_MODES} modes")
     try:
         spec = ResonanceSpec(n=header["n"], p=header["p"], q=header["q"])
     except ValueError as exc:

@@ -1,15 +1,20 @@
 """Exact polynomial arithmetic in the complex oscillator variables.
 
 Polynomials live in the 2n variables z_1..z_n, z_1*..z_n* with exact
-complex-rational coefficients. Everything here is immutable by convention
-and pure, so values can be shared freely. Floating point enters only in
-:meth:`ZPolynomial.evaluate`; every algebraic identity (brackets, syzygy,
-kernel membership) is checked with zero residual, never a tolerance.
+complex-rational coefficients, stored as Gaussian-integer numerators over
+one denominator per polynomial, in lowest terms. Everything here is
+immutable by convention and pure, so values can be shared freely. Floating
+point enters only in :meth:`ZPolynomial.evaluate`; every algebraic identity
+(brackets, syzygy, kernel membership) is checked with zero residual, never a
+tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -23,33 +28,6 @@ class ComplexRational(NamedTuple):
     def of(re: int | Fraction, im: int | Fraction = 0) -> "ComplexRational":
         return ComplexRational(Fraction(re), Fraction(im))
 
-    def __add__(self, other: "ComplexRational") -> "ComplexRational":  # type: ignore[override]
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
-
-    def __mul__(self, other):  # type: ignore[override]
-        if isinstance(other, ComplexRational):
-            return ComplexRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -57,10 +35,19 @@ class ComplexRational(NamedTuple):
         return f"({self.re},{self.im})"
 
 
-CR_ZERO = ComplexRational.of(0)
-CR_ONE = ComplexRational.of(1)
-CR_I = ComplexRational.of(0, 1)
 CR_MINUS_I = ComplexRational.of(0, -1)
+
+Scalar = ComplexRational | int | Fraction
+
+
+def _split(c: Scalar) -> tuple[int, int, int]:
+    """Numerators (re, im) of a scalar over their least positive denominator."""
+    if isinstance(c, ComplexRational):
+        re, im = Fraction(c.re), Fraction(c.im)
+    else:
+        re, im = Fraction(c), Fraction(0)
+    den = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
 class ZMonomial(NamedTuple):
@@ -84,33 +71,31 @@ def _check_same_n(p: "ZPolynomial", q: "ZPolynomial") -> None:
 
 
 class ZPolynomial:
-    """Polynomial in z_k, z_k* with :class:`ComplexRational` coefficients.
+    """Polynomial in z_k, z_k* with exact complex-rational coefficients.
 
-    Terms are held in a dict keyed by :class:`ZMonomial`; zero coefficients
-    are pruned on construction so equality is plain dict equality.
-
-    Parameters
-    ----------
-    n : int
-        Number of oscillators (so 2n variables).
-    terms : mapping, optional
-        ZMonomial -> ComplexRational, copied and pruned.
+    ``_terms`` maps each :class:`ZMonomial` to a Gaussian-integer numerator
+    ``(re, im)`` of Python ints, and ``_den`` is one positive denominator
+    for all of them. The constructor ``ZPolynomial(n, terms, den)`` takes
+    that internal form, drops zero numerators and divides the numerators
+    and ``_den`` by their common gcd. The form is thus in lowest terms (zero
+    has ``_den`` 1), and equality is plain dict and ``_den`` equality.
+    Build polynomials with the class methods; coefficients enter and leave
+    as :class:`ComplexRational`.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_den")
 
-    def __init__(self, n: int, terms: dict[ZMonomial, ComplexRational] | None = None):
+    def __init__(self, n: int, terms: dict[ZMonomial, tuple[int, int]] | None = None,
+                 den: int = 1):
         if n < 1:
             raise ValueError("need at least one oscillator")
         self.n = n
-        pruned: dict[ZMonomial, ComplexRational] = {}
-        if terms:
-            for mono, coef in terms.items():
-                if len(mono.a) != n or len(mono.b) != n:
-                    raise ValueError("monomial does not match dimension")
-                if not coef.is_zero():
-                    pruned[mono] = coef
-        self._terms = pruned
+        kept = {m: c for m, c in terms.items() if c != (0, 0)} if terms else {}
+        g = math.gcd(den, *chain.from_iterable(kept.values()))
+        if g != 1:
+            kept = {m: (re // g, im // g) for m, (re, im) in kept.items()}
+        self._terms = kept
+        self._den = den // g
 
     # -- constructors ------------------------------------------------------
 
@@ -119,73 +104,67 @@ class ZPolynomial:
         return cls(n)
 
     @classmethod
-    def constant(cls, n: int, c: ComplexRational | int | Fraction) -> "ZPolynomial":
-        if isinstance(c, (int, Fraction)):
-            c = ComplexRational.of(c)
+    def constant(cls, n: int, c: Scalar) -> "ZPolynomial":
         zeros = (0,) * n
-        return cls(n, {ZMonomial(zeros, zeros): c})
+        return cls.monomial(n, zeros, zeros, c)
 
     @classmethod
     def one(cls, n: int) -> "ZPolynomial":
-        return cls.constant(n, CR_ONE)
+        return cls.constant(n, 1)
 
     @classmethod
     def var(cls, n: int, k: int) -> "ZPolynomial":
         """The variable z_k (k is 1-based)."""
-        a = tuple(1 if j == k - 1 else 0 for j in range(n))
-        return cls(n, {ZMonomial(a, (0,) * n): CR_ONE})
+        return cls.monomial(n, tuple(1 if j == k - 1 else 0 for j in range(n)), (0,) * n)
 
     @classmethod
     def var_conj(cls, n: int, k: int) -> "ZPolynomial":
         """The variable z_k* (k is 1-based)."""
-        b = tuple(1 if j == k - 1 else 0 for j in range(n))
-        return cls(n, {ZMonomial((0,) * n, b): CR_ONE})
+        return cls.monomial(n, (0,) * n, tuple(1 if j == k - 1 else 0 for j in range(n)))
 
     @classmethod
     def monomial(cls, n: int, a: Sequence[int], b: Sequence[int],
-                 coef: ComplexRational = CR_ONE) -> "ZPolynomial":
-        return cls(n, {ZMonomial(tuple(a), tuple(b)): coef})
+                 coef: Scalar = 1) -> "ZPolynomial":
+        if len(a) != n or len(b) != n:
+            raise ValueError("monomial does not match dimension")
+        re, im, den = _split(coef)
+        return cls(n, {ZMonomial(tuple(a), tuple(b)): (re, im)}, den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "ZPolynomial") -> "ZPolynomial":
         _check_same_n(self, other)
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            acc = out.get(mono, CR_ZERO) + coef
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return ZPolynomial(self.n, out)
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        out = {m: (re * s, im * s) for m, (re, im) in self._terms.items()}
+        for mono, (re, im) in other._terms.items():
+            r0, i0 = out.get(mono, (0, 0))
+            out[mono] = (r0 + re * t, i0 + im * t)
+        return ZPolynomial(self.n, out, den)
 
     def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "ZPolynomial":
-        return ZPolynomial(self.n, {m: -c for m, c in self._terms.items()})
+        return ZPolynomial(self.n, {m: (-re, -im) for m, (re, im) in self._terms.items()},
+                           self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ComplexRational.of(other)
-        if isinstance(other, ComplexRational):
-            return ZPolynomial(self.n, {m: c * other for m, c in self._terms.items()})
+        if isinstance(other, (int, Fraction, ComplexRational)):
+            c, d, den = _split(other)
+            return ZPolynomial(self.n, {m: (a * c - b * d, a * d + b * c)
+                                        for m, (a, b) in self._terms.items()},
+                               self._den * den)
         if not isinstance(other, ZPolynomial):
             return NotImplemented
         _check_same_n(self, other)
-        out: dict[ZMonomial, ComplexRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = ZMonomial(
-                    tuple(x + y for x, y in zip(m1.a, m2.a)),
-                    tuple(x + y for x, y in zip(m1.b, m2.b)),
-                )
-                acc = out.get(mono, CR_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        return ZPolynomial(self.n, out)
+        out: dict[ZMonomial, tuple[int, int]] = {}
+        for m1, (a, b) in self._terms.items():
+            for m2, (c, d) in other._terms.items():
+                mono = ZMonomial(tuple(map(add, m1.a, m2.a)), tuple(map(add, m1.b, m2.b)))
+                re, im = out.get(mono, (0, 0))
+                out[mono] = (re + a * c - b * d, im + a * d + b * c)
+        return ZPolynomial(self.n, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -203,7 +182,7 @@ class ZPolynomial:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ZPolynomial) and self.n == other.n
-                and self._terms == other._terms)
+                and self._den == other._den and self._terms == other._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -217,39 +196,42 @@ class ZPolynomial:
     def num_terms(self) -> int:
         return len(self._terms)
 
+    def _coef(self, c: tuple[int, int]) -> ComplexRational:
+        return ComplexRational(Fraction(c[0], self._den), Fraction(c[1], self._den))
+
     def terms(self) -> Iterator[tuple[ZMonomial, ComplexRational]]:
         """Iterate terms in the canonical graded-lex order."""
         for mono in sorted(self._terms, key=ZMonomial.sort_key):
-            yield mono, self._terms[mono]
+            yield mono, self._coef(self._terms[mono])
 
     def coefficient(self, a: Sequence[int], b: Sequence[int]) -> ComplexRational:
-        return self._terms.get(ZMonomial(tuple(a), tuple(b)), CR_ZERO)
+        return self._coef(self._terms.get(ZMonomial(tuple(a), tuple(b)), (0, 0)))
 
     # -- calculus ----------------------------------------------------------
 
     def diff_z(self, k: int) -> "ZPolynomial":
         """Partial derivative with respect to z_k (1-based)."""
         j = k - 1
-        out: dict[ZMonomial, ComplexRational] = {}
-        for mono, coef in self._terms.items():
+        out: dict[ZMonomial, tuple[int, int]] = {}
+        for mono, (re, im) in self._terms.items():
             e = mono.a[j]
             if e == 0:
                 continue
             a = mono.a[:j] + (e - 1,) + mono.a[j + 1:]
-            out[ZMonomial(a, mono.b)] = coef * e
-        return ZPolynomial(self.n, out)
+            out[ZMonomial(a, mono.b)] = (re * e, im * e)
+        return ZPolynomial(self.n, out, self._den)
 
     def diff_z_conj(self, k: int) -> "ZPolynomial":
         """Partial derivative with respect to z_k* (1-based)."""
         j = k - 1
-        out: dict[ZMonomial, ComplexRational] = {}
-        for mono, coef in self._terms.items():
+        out: dict[ZMonomial, tuple[int, int]] = {}
+        for mono, (re, im) in self._terms.items():
             e = mono.b[j]
             if e == 0:
                 continue
             b = mono.b[:j] + (e - 1,) + mono.b[j + 1:]
-            out[ZMonomial(mono.a, b)] = coef * e
-        return ZPolynomial(self.n, out)
+            out[ZMonomial(mono.a, b)] = (re * e, im * e)
+        return ZPolynomial(self.n, out, self._den)
 
     # -- numerics ----------------------------------------------------------
 
@@ -260,7 +242,7 @@ class ZPolynomial:
         zc = [complex(v).conjugate() for v in z]
         total = 0.0 + 0.0j
         for mono, coef in self._terms.items():
-            val = complex(coef)
+            val = complex(self._coef(coef))
             for zk, e in zip(z, mono.a):
                 if e:
                     val *= complex(zk) ** e

@@ -121,6 +121,8 @@ class TestModelGrammar:
         ("n=2\np=2\nq=2\norder=6\n", 5, "bad header"),
         ("n=2\np=2\nq=1\norder=2\n", 5, "at least 4"),
         ("n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n", 5, "degree 10 exceeds order 6"),
+        ("n=100000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 5, "over the limit of 64 modes"),
+        ("n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 5, "over the limit"),
     ])
     def test_rejects_with_line_number(self, text, line_no, needle):
         with pytest.raises(ModelFileError) as err:

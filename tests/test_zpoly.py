@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyads.zpoly import (
-    CR_I,
     CR_MINUS_I,
-    CR_ONE,
-    CR_ZERO,
     ComplexRational,
     ZMonomial,
     ZPolynomial,
@@ -38,28 +35,27 @@ def st_poly(slots: int, max_exp: int = 3, max_terms: int = 4):
 
 
 class TestComplexRational:
+    # ComplexRational has no arithmetic of its own: these check exact scalar
+    # arithmetic through constant polynomials
     def test_arithmetic_is_exact(self):
-        a = ComplexRational.of(Fraction(1, 3), Fraction(1, 7))
-        b = ComplexRational.of(Fraction(2, 3), Fraction(-1, 7))
-        assert (a + b).re == Fraction(1)
-        assert (a + b).im == Fraction(0)
+        a = ZPolynomial.constant(2, ComplexRational.of(Fraction(1, 3), Fraction(1, 7)))
+        b = ZPolynomial.constant(2, ComplexRational.of(Fraction(2, 3), Fraction(-1, 7)))
+        assert a + b == ZPolynomial.constant(2, 1)
+        assert (a + b).coefficient((0, 0), (0, 0)) == ComplexRational.of(1)
         assert (a - a).is_zero()
 
     def test_product_follows_i_squared(self):
-        assert CR_I * CR_I == ComplexRational.of(-1, 0)
-        assert CR_I * CR_MINUS_I == CR_ONE
-
-    def test_conjugate(self):
-        a = ComplexRational.of(2, 3)
-        assert a.conjugate() == ComplexRational.of(2, -3)
+        i = ZPolynomial.constant(2, ComplexRational.of(0, 1))
+        assert i ** 2 == ZPolynomial.constant(2, -1)
+        assert i * CR_MINUS_I == ZPolynomial.one(2)
 
     def test_to_complex(self):
         assert complex(ComplexRational.of(Fraction(1, 2), 1)) == 0.5 + 1j
 
     def test_scalar_multiplication(self):
-        a = ComplexRational.of(1, 2)
-        assert a * 3 == ComplexRational.of(3, 6)
-        assert a * Fraction(1, 2) == ComplexRational.of(Fraction(1, 2), 1)
+        a = ZPolynomial.constant(2, ComplexRational.of(1, 2))
+        assert a * 3 == ZPolynomial.constant(2, ComplexRational.of(3, 6))
+        assert a * Fraction(1, 2) == ZPolynomial.constant(2, ComplexRational.of(Fraction(1, 2), 1))
 
 
 class TestZPolynomial:
@@ -86,7 +82,7 @@ class TestZPolynomial:
     def test_coefficient_lookup(self):
         p = ZPolynomial.monomial(2, (1, 0), (0, 2), ComplexRational.of(3, 1))
         assert p.coefficient((1, 0), (0, 2)) == ComplexRational.of(3, 1)
-        assert p.coefficient((0, 0), (0, 0)) == CR_ZERO
+        assert p.coefficient((0, 0), (0, 0)) == ComplexRational.of(0)
 
     def test_derivative_drops_degree(self):
         z = ZPolynomial.var(2, 1)
@@ -171,3 +167,75 @@ class TestPoissonBracket:
             + poisson_bracket(h, poisson_bracket(f, g))
         )
         assert total.is_zero()
+
+
+class TestCanonicalForm:
+    """Equal values reached by different routes are equal objects."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=st_poly(2), g=st_poly(2))
+    def test_routes_to_one_value_compare_equal(self, f, g):
+        assert f * Fraction(1, 3) + f * Fraction(2, 3) == f
+        assert (f + g) - g == f
+        assert f * ComplexRational.of(Fraction(1, 5), 2) + f * ComplexRational.of(
+            Fraction(-1, 5), -2) == ZPolynomial.zero(2)
+
+    def test_cancelled_sum_is_the_zero_polynomial(self):
+        z = ZPolynomial.var(2, 1) * Fraction(1, 3)
+        assert z - z == ZPolynomial.zero(2)
+        assert str(z - z) == "0"
+
+    def test_str_prints_lowest_terms(self):
+        p = ZPolynomial.monomial(2, (1, 0), (0, 1), 3) * Fraction(1, 6)
+        assert str(p) == "(1/2,0) z1^1 z2*^1"
+        assert p == ZPolynomial.monomial(2, (1, 0), (0, 1), Fraction(1, 2))
+
+
+# terms of one polynomial: exponents over z_k, exponents over z_k*, re, im
+st_small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+st_raw_poly = st.lists(st.tuples(
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    st_small, st_small), max_size=4)
+
+
+class TestSympyOracle:
+    """Sum, product and bracket against sympy's expansion of the same terms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f_raw=st_raw_poly, g_raw=st_raw_poly)
+    def test_matches_sympy_expand(self, f_raw, g_raw):
+        import sympy
+
+        n = 2
+        z = sympy.symbols(f"z1:{n + 1}")
+        zc = sympy.symbols(f"z1:{n + 1}c")
+
+        def both(raw):
+            poly, expr = ZPolynomial.zero(n), sympy.Integer(0)
+            for a, b, re, im in raw:
+                poly = poly + ZPolynomial.monomial(n, a, b, ComplexRational.of(re, im))
+                coef = sympy.Rational(re.numerator, re.denominator) \
+                    + sympy.I * sympy.Rational(im.numerator, im.denominator)
+                expr += coef * sympy.Mul(*(v ** e for v, e in zip(z + zc, a + b)))
+            return poly, expr
+
+        def coefficients_of(expr):
+            out = {}
+            for mono, c in sympy.Poly(sympy.expand(expr), *z, *zc).terms():
+                if c != 0:
+                    re, im = sympy.re(c), sympy.im(c)
+                    out[mono] = (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+            return out
+
+        def coefficients(poly):
+            return {m.a + m.b: (c.re, c.im) for m, c in poly.terms()}
+
+        f, fe = both(f_raw)
+        g, ge = both(g_raw)
+        bracket = -sympy.I * sum(
+            sympy.diff(fe, z[k]) * sympy.diff(ge, zc[k])
+            - sympy.diff(fe, zc[k]) * sympy.diff(ge, z[k]) for k in range(n))
+        assert coefficients(f + g) == coefficients_of(fe + ge)
+        assert coefficients(f * g) == coefficients_of(fe * ge)
+        assert coefficients(poisson_bracket(f, g)) == coefficients_of(bracket)
