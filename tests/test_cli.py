@@ -202,6 +202,26 @@ class TestEnumerateCommand:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("sizes,fmt,digest", [
+        (("6", "3", "2", "30"), "json",
+         "08f54aa9dc30165149eb87dd49debab4f2eed8b21f3204fe5dd8f6b66f980ba8"),
+        (("6", "3", "2", "30"), "table",
+         "8d468444c5d857a6ffbb5376676fed8ea459fb3b92ca36c07ad3529286f888ac"),
+        (("3", "2", "1", "12"), "json",
+         "c6bc819e308da82b3e4fa6cc6e854105ff7df454c020acbbd0042ed6800db3b8"),
+        (("3", "2", "1", "12"), "table",
+         "6d5c37490b85c3a0fdcc7b0df72dc456b5ed3712c3101596aabb76df5a0abb41"),
+    ], ids=["6-3:2-30-json", "6-3:2-30-table", "3-2:1-12-json", "3-2:1-12-table"])
+    def test_output_digest_pinned(self, capsys, tmp_path, sizes, fmt, digest):
+        # digests taken while the census was still collected in a set and
+        # sorted by GenMonomial.sort_key
+        n, p, q, order = sizes
+        out_file = tmp_path / "census.out"
+        code, out, _ = run(capsys, "enumerate", "--n", n, "--p", p, "--q", q,
+                           "--order", order, "--format", fmt, "--out", str(out_file))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
 
 class TestVerifyTablesCommand:
     def test_all_green(self, capsys):
