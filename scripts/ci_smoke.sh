@@ -16,6 +16,10 @@ expect_usage_error() {
 }
 
 python -m polyads spectrum --model "$MODEL" --pmax 10 --n3max 1
+# the census table ends with the operator total that count reports
+n_op=$(python -m polyads count --n 3 --p 2 --q 1 --order 12 --format json |
+    python -c 'import json, sys; print(json.load(sys.stdin)["n_op"])')
+test "$(python -m polyads enumerate --n 3 --p 2 --q 1 --order 12 | tail -n 1)" = "total $n_op"
 # a 3:2 model has no states at P = 1 and must still get a spectrum
 printf 'n=2\np=3\nq=2\norder=6\nomega 1 1000.0\nomega 2 1500.0\ncoupling 1 - 0.5\n' > "$TMP/three_two.model"
 python -m polyads spectrum --model "$TMP/three_two.model" --pmax 10

@@ -24,7 +24,6 @@ from .monomials import (
     enumerate_coupling,
     enumerate_dunham,
     monomials_to_json,
-    sort_monomials,
 )
 from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
 
@@ -85,28 +84,30 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
-def _header_spec(header: dict[str, int], line_no: int, missing_msg: str
+def _header_spec(header: dict[str, tuple[int, int]], line_no: int, missing_msg: str
                  ) -> tuple[ResonanceSpec, int]:
-    """Resonance spec and order from complete header keys, else ModelFileError."""
+    """Spec and order from header keys mapped to (value, line), else ModelFileError."""
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ModelFileError(line_no, f"{missing_msg} {missing}")
-    if header["n"] > MAX_MODES:
-        raise ModelFileError(line_no, f"bad header: n is over the limit of {MAX_MODES} modes")
+    (n, n_line), (p, p_line), (q, q_line), (order, order_line) = (
+        header[k] for k in _HEADER_KEYS)
+    if n > MAX_MODES:
+        raise ModelFileError(n_line, f"bad header: n is over the limit of {MAX_MODES} modes")
     try:
-        spec = ResonanceSpec(n=header["n"], p=header["p"], q=header["q"])
+        spec = ResonanceSpec(n=n, p=p, q=q)
     except ValueError as exc:
-        raise ModelFileError(line_no, f"bad header: {exc}") from None
-    if header["order"] < 4:
-        raise ModelFileError(line_no, "order must be at least 4")
-    return spec, header["order"]
+        raise ModelFileError(max(n_line, p_line, q_line), f"bad header: {exc}") from None
+    if order < 4:
+        raise ModelFileError(order_line, "order must be at least 4")
+    return spec, order
 
 
 def parse_model_text(text: str) -> "HamiltonianModel":
     """Parse model-file text. Header lines first, then one term per line."""
     from .quantum import HamiltonianModel, TermSpec, coupling_term
 
-    header: dict[str, int] = {}
+    header: dict[str, tuple[int, int]] = {}
     terms: list[TermSpec] = []
     seen: set[tuple] = set()
     spec: Optional[ResonanceSpec] = None
@@ -128,7 +129,7 @@ def parse_model_text(text: str) -> "HamiltonianModel":
                 value = int(value_s.strip())
             except ValueError:
                 raise ModelFileError(line_no, f"bad integer for {key!r}") from None
-            header[key] = value
+            header[key] = (value, line_no)
             continue
 
         if spec is None:
@@ -257,9 +258,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(monomials_to_json(monos) + "\n", args.out)
     else:
-        ordered = sort_monomials(monos)
-        body = "".join(m.label() + "\n" for m in ordered)
-        _emit(body + f"total {len(ordered)}\n", args.out)
+        body = "".join(m.label() + "\n" for m in monos)
+        _emit(body + f"total {len(monos)}\n", args.out)
     return 0
 
 

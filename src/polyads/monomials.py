@@ -1,9 +1,13 @@
 """Enumeration of the independent monomials of the normalized Hamiltonian.
 
-Monomials are products of powers of the invariant generators. The census
-splits naturally: number-only monomials (the Dunham family, diagonal in the
-quantum picture) and coupling monomials carrying a power of one of the two
-mixed generators. The closed-form counts are proved elsewhere (see
+Monomials are products of powers of the invariant generators. One rule
+gives the census at expansion order N: a power k of at most one mixed
+generator (sigma_-1 or sigma_0) times action generators of total power t,
+with (p+q) k + 2 t <= N. The number-only monomials (the Dunham family,
+k = 0 and t >= 1, diagonal in the quantum picture) may use every action
+generator; the coupling monomials (k >= 1) use at most two. Both families
+are generated in canonical order (:meth:`GenMonomial.sort_key`), so no
+caller sorts them. The closed-form counts are proved elsewhere (see
 :mod:`polyads.counting`); here live the production enumerator, the direct
 brute-force oracles, and the couple/class/multiplicity audit layer that
 explains why the raw sums over-count and by exactly how much.
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, KeysView, Literal, Optional
 
 
 @dataclass(frozen=True)
@@ -42,9 +46,6 @@ class GenMonomial:
         """Total degree in the underlying z variables."""
         return (p + q) * self.m_exp + 2 * sum(self.num_exps)
 
-    def is_coupling(self) -> bool:
-        return self.m_part is not None
-
     def sort_key(self) -> tuple:
         # number-only first, then by mixed power; within a family graded by
         # total action degree with mode 1 leading
@@ -67,14 +68,14 @@ def sort_monomials(monos: Iterable[GenMonomial]) -> list[GenMonomial]:
 
 
 def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
-    """Serialize monomials in canonical order as a JSON array."""
+    """Serialize monomials, in the order given, as a JSON array."""
     payload = [
         {
             "m": None if m.m_part is None else str(m.m_part),
             "mExp": m.m_exp,
             "numExps": list(m.num_exps),
         }
-        for m in sort_monomials(monos)
+        for m in monos
     ]
     return json.dumps(payload, indent=2)
 
@@ -82,8 +83,32 @@ def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
 # -- enumeration -----------------------------------------------------------
 
 
-def enumerate_dunham(n: int, N: int) -> set[GenMonomial]:
-    """Number-only monomials up to expansion order N.
+def _exponent_vectors(n: int, total: int, support: int) -> Iterator[tuple[int, ...]]:
+    """Length-n vectors with the given total and at most ``support`` nonzero
+    entries, in descending lexicographic order."""
+    if n == 1:
+        if total == 0 or support:
+            yield (total,)
+        return
+    for e in range(total if support else 0, -1, -1):
+        for rest in _exponent_vectors(n - 1, total - e, support - (e > 0)):
+            yield (e, *rest)
+
+
+def _census(n: int, N: int, pq: int, families: tuple[Optional[int], ...]
+            ) -> KeysView[GenMonomial]:
+    """The census rule for ``families``, as an ordered set in sort_key order."""
+    return dict.fromkeys(
+        GenMonomial(m, k, exps)
+        for m in families
+        for k in ((0,) if m is None else range(1, N // pq + 1))
+        for t in range(0 if k else 1, (N - pq * k) // 2 + 1)
+        for exps in _exponent_vectors(n, t, 2 if k else n)
+    ).keys()
+
+
+def enumerate_dunham(n: int, N: int) -> KeysView[GenMonomial]:
+    """Number-only monomials up to expansion order N, in canonical order.
 
     Every exponent vector with 1 <= total <= E(N/2) appears, the degree-1
     vectors included (their coefficients are the harmonic frequencies), so
@@ -93,56 +118,20 @@ def enumerate_dunham(n: int, N: int) -> set[GenMonomial]:
         raise ValueError("need n >= 1")
     if N < 4:
         raise ValueError("need N >= 4")
-    q0_max = N // 2
-    out: set[GenMonomial] = set()
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == n:
-            if sum(prefix) >= 1:
-                out.add(GenMonomial(None, 0, prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e)
-
-    rec((), q0_max)
-    return out
+    return _census(n, N, 1, (None,))
 
 
-def enumerate_coupling(n: int, N: int, p: int, q: int) -> set[GenMonomial]:
-    """Deduplicated coupling monomials up to expansion order N.
+def enumerate_coupling(n: int, N: int, p: int, q: int) -> KeysView[GenMonomial]:
+    """Coupling monomials up to expansion order N, in canonical order.
 
-    Three shapes, each for both mixed generators m in {-1, 0}:
-    pure powers m^q1 with (p+q) q1 <= N; 2-monomials m^p2 s_k^q2 with
-    (p+q) p2 + 2 q2 <= N; and 3-monomials m^p3 s_i^g s_j^r with i < j and
-    (p+q) p3 + 2(g+r) <= N. Working with a set is what removes the
-    redundancy of the order-by-order sums.
+    For each mixed generator m in {-1, 0}: every m^k times at most two
+    action generators s_i^g s_j^r with k >= 1 and (p+q) k + 2(g+r) <= N.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if math.gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
-    pq = p + q
-    out: set[GenMonomial] = set()
-    zeros = (0,) * n
-    for m in (-1, 0):
-        for q1 in range(1, N // pq + 1):
-            out.add(GenMonomial(m, q1, zeros))
-        for p2 in range(1, (N - 2) // pq + 1):
-            for q2 in range(1, (N - pq * p2) // 2 + 1):
-                for k in range(n):
-                    exps = zeros[:k] + (q2,) + zeros[k + 1:]
-                    out.add(GenMonomial(m, p2, exps))
-        for p3 in range(1, (N - 4) // pq + 1):
-            for q3 in range(2, (N - pq * p3) // 2 + 1):
-                for gamma in range(1, q3):
-                    r3 = q3 - gamma
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            exps = list(zeros)
-                            exps[i] = gamma
-                            exps[j] = r3
-                            out.add(GenMonomial(m, p3, tuple(exps)))
-    return out
+    return _census(n, N, p + q, (-1, 0))
 
 
 def brute_force_delta1(N: int, p: int, q: int) -> int:

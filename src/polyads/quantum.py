@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .monomials import enumerate_coupling, enumerate_dunham, sort_monomials
+from .monomials import enumerate_coupling, enumerate_dunham
 from .resonance import ResonanceSpec
 
 FockState = tuple[int, ...]
@@ -511,9 +511,9 @@ def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
     """
     zero = (0,) * spec.n
     terms = [TermSpec("dunham", zero, zero, mono.num_exps, 0.0, "0")
-             for mono in sort_monomials(enumerate_dunham(spec.n, order))]
+             for mono in enumerate_dunham(spec.n, order)]
     terms += [coupling_term(spec, mono.m_exp, mono.num_exps, 0.0, "0")
-              for mono in sort_monomials(enumerate_coupling(spec.n, order, spec.p, spec.q))
+              for mono in enumerate_coupling(spec.n, order, spec.p, spec.q)
               if mono.m_part == -1]
     return tuple(terms)
 

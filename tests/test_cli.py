@@ -113,16 +113,16 @@ class TestModelGrammar:
         ("n=2\np=2\nq=1\norder=6\ncoupling 3 - 0.5\n", 5, "exceeds order"),
         ("n=2\np=2\nq=1\norder=6\nomega 1 zero\n", 5, "bad coefficient"),
         ("n=2\np=2\nq=1\norder=6\nomega 1 inf\n", 5, "not finite"),
-        ("n=2\np=2\nq=1\norder=2\nomega 1 1.0\n", 5, "at least 4"),
+        ("n=2\np=2\nq=1\norder=2\nomega 1 1.0\n", 4, "at least 4"),
         ("n=2\np=2\nq=1\norder=6\ncoupling 0 - 0.5\n", 5, "must be positive"),
         ("n=2\np=2\nq=1\norder=6\nextra 1:1 1:1 0.5\n", 5, ""),
-        ("n=2\np=4\nq=2\norder=6\nomega 1 1.0\n", 5, "bad header"),
+        ("n=2\np=4\nq=2\norder=6\nomega 1 1.0\n", 3, "bad header"),
         ("n=2\np=2\nq=1\n", 4, "missing header"),
-        ("n=2\np=2\nq=2\norder=6\n", 5, "bad header"),
-        ("n=2\np=2\nq=1\norder=2\n", 5, "at least 4"),
+        ("n=2\np=2\nq=2\norder=6\n", 3, "bad header"),
+        ("n=2\np=2\nq=1\norder=2\n", 4, "at least 4"),
         ("n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n", 5, "degree 10 exceeds order 6"),
-        ("n=100000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 5, "over the limit of 64 modes"),
-        ("n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 5, "over the limit"),
+        ("n=100000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 1, "over the limit of 64 modes"),
+        ("n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 1, "over the limit"),
     ])
     def test_rejects_with_line_number(self, text, line_no, needle):
         with pytest.raises(ModelFileError) as err:
@@ -307,17 +307,17 @@ class TestSpectrumCommand:
         assert code == 2
         assert "line 5" in err and str(bad) in err
 
-    @pytest.mark.parametrize("text", [
-        "n=2\np=2\nq=2\norder=6\n",
-        "n=2\np=2\nq=1\norder=2\n",
-        "n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n",
+    @pytest.mark.parametrize("text,line_no", [
+        ("n=2\np=2\nq=2\norder=6\n", 3),
+        ("n=2\np=2\nq=1\norder=2\n", 4),
+        ("n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n", 5),
     ], ids=["header-not-coprime", "header-low-order", "extra-over-order"])
-    def test_rejected_model_exit_code(self, capsys, tmp_path, text):
+    def test_rejected_model_exit_code(self, capsys, tmp_path, text, line_no):
         bad = tmp_path / "bad.model"
         bad.write_text(text)
         code, out, err = run(capsys, "spectrum", "--model", str(bad), "--pmax", "4")
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {bad}: line 5: ")
+        assert err.startswith(f"error: {bad}: line {line_no}: ")
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum", "--model",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -65,7 +66,36 @@ class TestGenMonomial:
         assert ordered[3].m_part == 0
 
 
+def rule_census(n, N, p, q, families):
+    """Brute filter of the census rule over the whole box of exponent vectors."""
+    pq = p + q
+    out = set()
+    for exps in itertools.product(range(N // 2 + 1), repeat=n):
+        t = sum(exps)
+        support = n - exps.count(0)
+        for m in families:
+            for k in range(N // pq + 1):
+                if m is None:
+                    allowed = k == 0 and t >= 1
+                else:
+                    allowed = k >= 1 and support <= 2
+                if allowed and pq * k + 2 * t <= N:
+                    out.add(GenMonomial(m, k, exps))
+    return out
+
+
 class TestEnumeration:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 4), N=st.integers(4, 16), pq=st_pq)
+    def test_census_is_the_rule_in_canonical_order(self, n, N, pq):
+        p, q = pq
+        censuses = [(enumerate_dunham(n, N), (None,))]
+        if n >= 2:
+            censuses.append((enumerate_coupling(n, N, p, q), (-1, 0)))
+        for census, families in censuses:
+            assert list(census) == sort_monomials(set(census))
+            assert set(census) == rule_census(n, N, p, q, families)
+
     @pytest.mark.parametrize("n,N", [(1, 4), (2, 6), (2, 10), (3, 10), (4, 9)])
     def test_dunham_census_size(self, n, N):
         assert len(enumerate_dunham(n, N)) == lambda_dunham(n, N)
@@ -112,7 +142,7 @@ class TestEnumeration:
     def test_json_round_trip_and_determinism(self):
         census = enumerate_coupling(2, 8, 2, 1)
         text = monomials_to_json(census)
-        again = monomials_to_json(set(census))
+        again = monomials_to_json(sort_monomials(set(census)))
         assert text == again
         payload = json.loads(text)
         assert len(payload) == len(census)
