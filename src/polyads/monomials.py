@@ -15,7 +15,6 @@ explains why the raw sums over-count and by exactly how much.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, Literal, Optional
@@ -67,17 +66,19 @@ def sort_monomials(monos: Iterable[GenMonomial]) -> list[GenMonomial]:
     return sorted(monos, key=GenMonomial.sort_key)
 
 
+# JSON text of each m_part
+_M_JSON = {None: "null", -1: '"-1"', 0: '"0"'}
+
+
 def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
-    """Serialize monomials, in the order given, as a JSON array."""
-    payload = [
-        {
-            "m": None if m.m_part is None else str(m.m_part),
-            "mExp": m.m_exp,
-            "numExps": list(m.num_exps),
-        }
-        for m in monos
-    ]
-    return json.dumps(payload, indent=2)
+    """Serialize monomials, in the order given, as the JSON array text that
+    ``json.dumps(records, indent=2)`` gives, without its pure-Python encoder."""
+    records = ",\n".join(
+        f'  {{\n    "m": {_M_JSON[m.m_part]},\n    "mExp": {m.m_exp},\n    "numExps": '
+        + ("[\n      " + ",\n      ".join(map(str, m.num_exps)) + "\n    ]\n  }"
+           if m.num_exps else "[]\n  }")
+        for m in monos)
+    return f"[\n{records}\n]" if records else "[]"
 
 
 # -- enumeration -----------------------------------------------------------
@@ -199,19 +200,22 @@ def cumulative_multiplicity(c: CoupleC, N: int, p: int, q: int) -> int:
     return min(N - n_app + 1, p + q)
 
 
-def iter_couples(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[CoupleC]:
-    """All couples of the given kind appearing at some order <= N."""
+def _couples(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[tuple]:
+    """(k', qj, gamma) of each couple of :func:`iter_couples`, gamma None for kind 2."""
     pq = p + q
     offset = 2 if kind == 2 else 4
     for kprime in range(1, max(0, (N - offset) // pq) + 1):
-        qj_min = 1 if kind == 2 else 2
-        qj_max = (N - pq * kprime) // 2
-        for qj in range(qj_min, qj_max + 1):
+        for qj in range(offset // 2, (N - pq * kprime) // 2 + 1):
             if kind == 2:
-                yield CoupleC(2, kprime, qj)
+                yield kprime, qj, None
             else:
                 for gamma in range(1, qj):
-                    yield CoupleC(3, kprime, qj, gamma)
+                    yield kprime, qj, gamma
+
+
+def iter_couples(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[CoupleC]:
+    """All couples of the given kind appearing at some order <= N."""
+    return (CoupleC(kind, *c) for c in _couples(N, p, q, kind))
 
 
 def lambda_raw(N: int, p: int, q: int, kind: Literal[2, 3]) -> int:
@@ -291,32 +295,27 @@ def audit_counting(N: int, p: int, q: int, kind: Literal[2, 3]) -> MultiplicityA
     threshold produce an all-zero audit.
     """
     pq = p + q
-    offset = 2 if kind == 2 else 4
-    l1 = lambda_raw(N, p, q, 2)
-    l2 = lambda_raw(N, p, q, 3)
-    if N < pq + offset:
-        return MultiplicityAudit(N, p, q, kind, l1, l2, 0, 0, 0, 0, 0)
-    kprime_top = (N - offset) // pq
+    kprime_top = (N - (2 if kind == 2 else 4)) // pq
     pop_top = 0
     pop_rest = 0
     alpha = 0
     present = 0
-    for c in iter_couples(N, p, q, kind):
-        mu = cumulative_multiplicity(c, N, p, q)
-        if mu == 0:
-            continue
-        if N > c.appearance_order(p, q) + pq - 1:
+    for kprime, qj, _ in _couples(N, p, q, kind):
+        # cumulative_multiplicity of the couple; every couple has appeared by N
+        n_app = kprime * pq + 2 * qj
+        mu = min(N - n_app + 1, pq)
+        if N > n_app + pq - 1:
             alpha += mu  # switch-off couple, mu saturated at p+q
         else:
             present += 1
-            if c.kprime == kprime_top:
+            if kprime == kprime_top:
                 pop_top += mu
             else:
                 pop_rest += mu
     assert alpha % pq == 0
     return MultiplicityAudit(
         N=N, p=p, q=q, kind=kind,
-        lambda1_raw=l1, lambda2_raw=l2,
+        lambda1_raw=lambda_raw(N, p, q, 2), lambda2_raw=lambda_raw(N, p, q, 3),
         pop_class_kprime=pop_top,
         pop_other_classes=pop_rest,
         switched_off_alpha=alpha,

@@ -261,6 +261,20 @@ class TestAuditCommand:
                  + data["switched_off_alpha"])
         assert total == data["lambda1_raw"]
 
+    @pytest.mark.parametrize("p,q,digest", [
+        ("1", "1", "c214774ba7d7bcab44427262d0b37ea178799f2c555ce3462381e27bcec29ac2"),
+        ("2", "1", "abd0fa648c521ee906bfbb774140c299bd099721ccc0006d63b2c52fc00ae217"),
+        ("3", "1", "88b53c7187e40b7d6d20188a5e44ccb47f825ca0c7f778306f70b0fb73ee2a77"),
+        ("3", "2", "820c506f8aab3c8484b22e66147fd6949efac27b1f8ccf83633cc7869183c074"),
+    ], ids=["1:1", "2:1", "3:1", "3:2"])
+    def test_order_220_digest_pinned(self, capsys, tmp_path, p, q, digest):
+        # digests taken while the audit still tallied CoupleC objects
+        out_file = tmp_path / "audit.json"
+        code, out, _ = run(capsys, "audit", "--order", "220", "--p", p, "--q", q,
+                           "--kind", "3", "--format", "json", "--out", str(out_file))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
 
 class TestSpectrumCommand:
     def test_csv_against_fixture(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from polyads.counting import delta1_closed, delta2_closed, lambda_dunham, totals
 from polyads.monomials import (
     CoupleC,
     GenMonomial,
+    MultiplicityAudit,
     audit_counting,
     brute_force_delta1,
     brute_force_delta2,
@@ -28,6 +29,28 @@ from polyads.monomials import (
 
 st_pq = st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3),
                          (5, 2), (5, 4), (7, 2)])
+
+
+def json_oracle(monos):
+    """The stdlib serialization that monomials_to_json must reproduce."""
+    payload = [
+        {
+            "m": None if m.m_part is None else str(m.m_part),
+            "mExp": m.m_exp,
+            "numExps": list(m.num_exps),
+        }
+        for m in monos
+    ]
+    return json.dumps(payload, indent=2)
+
+
+@st.composite
+def gen_monomials(draw):
+    """A GenMonomial of any family, its action vector possibly empty."""
+    m_part = draw(st.sampled_from([None, -1, 0]))
+    m_exp = 0 if m_part is None else draw(st.integers(1, 40))
+    exps = draw(st.lists(st.integers(0, 1000), max_size=5))
+    return GenMonomial(m_part, m_exp, tuple(exps))
 
 
 class TestGenMonomial:
@@ -151,6 +174,21 @@ class TestEnumeration:
         assert all(entry["m"] in ("-1", "0") for entry in mixed)
 
 
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(monos=st.lists(gen_monomials(), max_size=8))
+    def test_matches_stdlib_encoder(self, monos):
+        assert monomials_to_json(monos) == json_oracle(monos)
+
+    def test_empty_list(self):
+        assert monomials_to_json([]) == json_oracle([]) == "[]"
+
+    def test_empty_action_vector_stays_on_one_line(self):
+        text = monomials_to_json([GenMonomial(None, 0, ())])
+        assert text == json_oracle([GenMonomial(None, 0, ())])
+        assert '    "numExps": []\n' in text
+
+
 class TestBruteForce:
     @settings(max_examples=120, deadline=None)
     @given(N=st.integers(4, 30), pq=st_pq)
@@ -206,7 +244,36 @@ class TestCouples:
         assert lambda_raw(N, p, q, kind) == lambda_raw_direct(N, p, q, kind)
 
 
+def audit_reference(N, p, q, kind):
+    """The audit tallied over CoupleC objects, one validated couple at a time."""
+    pq = p + q
+    offset = 2 if kind == 2 else 4
+    l1 = lambda_raw(N, p, q, 2)
+    l2 = lambda_raw(N, p, q, 3)
+    kprime_top = (N - offset) // pq
+    pop_top = pop_rest = alpha = present = 0
+    for c in iter_couples(N, p, q, kind):
+        mu = cumulative_multiplicity(c, N, p, q)
+        if N > c.appearance_order(p, q) + pq - 1:
+            alpha += mu
+        elif c.kprime == kprime_top:
+            present += 1
+            pop_top += mu
+        else:
+            present += 1
+            pop_rest += mu
+    return MultiplicityAudit(N, p, q, kind, l1, l2, pop_top, pop_rest, alpha,
+                             present, alpha // pq + present)
+
+
 class TestAudit:
+    @pytest.mark.parametrize("kind", [2, 3])
+    @pytest.mark.parametrize("pq", [(1, 1), (2, 1), (1, 2), (3, 2), (4, 1)])
+    def test_matches_couple_object_reference(self, pq, kind):
+        p, q = pq
+        for N in range(61):
+            assert audit_counting(N, p, q, kind) == audit_reference(N, p, q, kind)
+
     @settings(max_examples=80, deadline=None)
     @given(N=st.integers(4, 28), pq=st_pq, kind=st.sampled_from([2, 3]))
     def test_populations_account_for_every_raw_monomial(self, N, pq, kind):
