@@ -15,6 +15,8 @@ expect_usage_error() {
     test "$status" -eq 2
 }
 
+# importing the package loads none of its submodules
+python -c 'import polyads, sys; loaded = [m for m in sys.modules if m.startswith("polyads.")]; assert not loaded, loaded'
 python -m polyads spectrum --model "$MODEL" --pmax 10 --n3max 1
 # the census table ends with the operator total that count reports
 n_op=$(python -m polyads count --n 3 --p 2 --q 1 --order 12 --format json |

@@ -9,105 +9,46 @@ counting theorems and frozen reference tables (:mod:`polyads.counting`),
 Fock-space assembly and block diagonalization (:mod:`polyads.quantum`),
 and a command line front end (:mod:`polyads.cli`).
 
-The :mod:`polyads.quantum` names load on first access, so numpy is imported
-only by code that builds spectra.
+Importing the package loads none of its submodules. Each public name is
+looked up in its home module on first access, so a caller pays only for
+the modules it uses: numpy, for one, is imported only by code that builds
+spectra.
 """
 
-from .counting import (
-    CountReport,
-    delta1_closed,
-    delta2_closed,
-    lambda_dunham,
-    regenerate_table,
-    totals,
-    verify_tables,
-)
-from .monomials import (
-    CoupleC,
-    GenMonomial,
-    MultiplicityAudit,
-    audit_counting,
-    brute_force_delta1,
-    brute_force_delta2,
-    cumulative_multiplicity,
-    enumerate_coupling,
-    enumerate_dunham,
-    lambda_raw,
-    monomials_to_json,
-    sort_monomials,
-)
-from .resonance import (
-    GeneratorSet,
-    PhaseCurvePoint,
-    ResonanceSpec,
-    ad_h0,
-    flow_h0,
-    generators,
-    h0_polynomial,
-    phase_curve,
-    syzygy_residual,
-    verify_bracket_table,
-)
-from .zpoly import ComplexRational, ZMonomial, ZPolynomial, poisson_bracket
+import importlib
 
 __version__ = "0.1.0"
 
+# home module of each public name
+_HOME = {
+    name: module
+    for module, names in {
+        "counting": ("CountReport", "delta1_closed", "delta2_closed", "lambda_dunham",
+                     "regenerate_table", "totals", "verify_tables"),
+        "monomials": ("CoupleC", "GenMonomial", "MultiplicityAudit", "audit_counting",
+                      "brute_force_delta1", "brute_force_delta2", "cumulative_multiplicity",
+                      "enumerate_coupling", "enumerate_dunham", "lambda_raw",
+                      "monomials_to_json", "sort_monomials"),
+        "quantum": ("FockState", "HamiltonianModel", "PolyadBlock", "TermSpec", "apply_term",
+                    "build_block", "census_terms", "cloh_model", "conserved_lattice",
+                    "coupling_term", "dunham_energy", "polyad_lattice", "spectrum"),
+        "resonance": ("GeneratorSet", "PhaseCurvePoint", "ResonanceSpec", "ad_h0", "flow_h0",
+                      "generators", "h0_polynomial", "phase_curve", "syzygy_residual",
+                      "verify_bracket_table"),
+        "zpoly": ("ComplexRational", "ZMonomial", "ZPolynomial", "poisson_bracket"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
 
 def __getattr__(name: str):
-    # names in __all__ left unbound here live in polyads.quantum
-    if name in __all__:
-        from . import quantum
-
-        return getattr(quantum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
-__all__ = [
-    "ComplexRational",
-    "CountReport",
-    "CoupleC",
-    "FockState",
-    "GenMonomial",
-    "GeneratorSet",
-    "HamiltonianModel",
-    "MultiplicityAudit",
-    "PhaseCurvePoint",
-    "PolyadBlock",
-    "ResonanceSpec",
-    "TermSpec",
-    "ZMonomial",
-    "ZPolynomial",
-    "ad_h0",
-    "apply_term",
-    "audit_counting",
-    "brute_force_delta1",
-    "brute_force_delta2",
-    "build_block",
-    "census_terms",
-    "cloh_model",
-    "conserved_lattice",
-    "coupling_term",
-    "cumulative_multiplicity",
-    "delta1_closed",
-    "delta2_closed",
-    "dunham_energy",
-    "enumerate_coupling",
-    "enumerate_dunham",
-    "flow_h0",
-    "generators",
-    "h0_polynomial",
-    "lambda_dunham",
-    "lambda_raw",
-    "monomials_to_json",
-    "phase_curve",
-    "poisson_bracket",
-    "polyad_lattice",
-    "regenerate_table",
-    "sort_monomials",
-    "spectrum",
-    "syzygy_residual",
-    "totals",
-    "verify_bracket_table",
-    "verify_tables",
-    "__version__",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,15 +18,6 @@ import sys
 from dataclasses import asdict
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .counting import totals, verify_tables
-from .monomials import (
-    audit_counting,
-    enumerate_coupling,
-    enumerate_dunham,
-    monomials_to_json,
-)
-from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
-
 _HEADER_KEYS = ("n", "p", "q", "order")
 # Most modes a model file may declare. The parser builds length-n exponent
 # vectors for every term line, so a mistyped n must fail before any of them
@@ -85,8 +76,10 @@ def _parse_value(token: str, line_no: int) -> float:
 
 
 def _header_spec(header: dict[str, tuple[int, int]], line_no: int, missing_msg: str
-                 ) -> tuple[ResonanceSpec, int]:
+                 ) -> tuple["ResonanceSpec", int]:
     """Spec and order from header keys mapped to (value, line), else ModelFileError."""
+    from .resonance import ResonanceSpec
+
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ModelFileError(line_no, f"{missing_msg} {missing}")
@@ -110,7 +103,7 @@ def parse_model_text(text: str) -> "HamiltonianModel":
     header: dict[str, tuple[int, int]] = {}
     terms: list[TermSpec] = []
     seen: set[tuple] = set()
-    spec: Optional[ResonanceSpec] = None
+    spec: Optional["ResonanceSpec"] = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -238,9 +231,13 @@ def _kv_table(pairs: list[tuple[str, object]]) -> str:
 
 
 # -- subcommands -----------------------------------------------------------
+# Each one imports what it uses when it runs, so that a census command starts
+# without numpy or the exact algebra.
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .counting import totals
+
     data = totals(args.n, args.order, args.p, args.q).as_dict()
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
@@ -250,20 +247,26 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .monomials import enumerate_coupling, enumerate_dunham, monomials_to_json
+
     monos = []
     if args.kind in ("dunham", "both"):
         monos.extend(enumerate_dunham(args.n, args.order))
     if args.kind in ("coupling", "both"):
         monos.extend(enumerate_coupling(args.n, args.order, args.p, args.q))
-    if args.format == "json":
-        _emit(monomials_to_json(monos) + "\n", args.out)
-    else:
-        body = "".join(m.label() + "\n" for m in monos)
-        _emit(body + f"total {len(monos)}\n", args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            fh.write(monomials_to_json(monos))
+            fh.write("\n")
+        else:
+            fh.write("".join(m.label() + "\n" for m in monos))
+            fh.write(f"total {len(monos)}\n")
     return 0
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
+    from .counting import verify_tables
+
     rows = verify_tables()
     per_table: dict[str, list] = {}
     for row in rows:
@@ -300,6 +303,8 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .monomials import audit_counting
+
     data = asdict(audit_counting(args.order, args.p, args.q, args.kind))
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
@@ -334,6 +339,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_phase_space(args: argparse.Namespace) -> int:
+    from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
+
     fixed = tuple(args.sigma)
     n = 2 + len(fixed)
     spec = ResonanceSpec(n=n, p=args.p, q=args.q)

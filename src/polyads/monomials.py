@@ -17,29 +17,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, Literal, Optional
+from functools import cache
+from typing import Iterable, Iterator, KeysView, Literal, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class GenMonomial:
-    """A product of generator powers.
-
-    ``m_part`` is -1 or 0 for the mixed generator carried by a coupling
-    monomial (None for the number-only family), ``m_exp`` its power and
-    ``num_exps`` the powers of the n action generators.
-    """
-
+class _GenFields(NamedTuple):
     m_part: Optional[int]
     m_exp: int
     num_exps: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.m_part not in (None, -1, 0):
+
+class GenMonomial(_GenFields):
+    """A product of generator powers.
+
+    ``m_part`` is -1 or 0 for the mixed generator carried by a coupling
+    monomial (None for the number-only family), ``m_exp`` its power and
+    ``num_exps`` the powers of the n action generators. A named tuple, so it
+    equals the plain tuple ``(m_part, m_exp, num_exps)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m_part: Optional[int], m_exp: int, num_exps: tuple[int, ...]):
+        if m_part not in (None, -1, 0):
             raise ValueError("m_part must be None, -1 or 0")
-        if (self.m_exp > 0) != (self.m_part is not None):
+        if (m_exp > 0) != (m_part is not None):
             raise ValueError("m_exp positive iff a mixed part is present")
-        if self.m_exp < 0 or any(e < 0 for e in self.num_exps):
+        if m_exp < 0 or min(num_exps, default=0) < 0:
             raise ValueError("exponents are non-negative")
+        return tuple.__new__(cls, (m_part, m_exp, num_exps))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "GenMonomial":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def z_degree(self, p: int, q: int) -> int:
         """Total degree in the underlying z variables."""
@@ -70,41 +81,56 @@ def sort_monomials(monos: Iterable[GenMonomial]) -> list[GenMonomial]:
 _M_JSON = {None: "null", -1: '"-1"', 0: '"0"'}
 
 
+@cache
+def _json_form(length: int) -> str:
+    """%-template of the JSON record of a monomial with ``length`` action exponents."""
+    exps = ("[\n      " + ",\n      ".join(["%s"] * length) + "\n    ]") if length else "[]"
+    return '  {\n    "m": %s,\n    "mExp": %s,\n    "numExps": ' + exps + "\n  }"
+
+
 def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
     """Serialize monomials, in the order given, as the JSON array text that
     ``json.dumps(records, indent=2)`` gives, without its pure-Python encoder."""
-    records = ",\n".join(
-        f'  {{\n    "m": {_M_JSON[m.m_part]},\n    "mExp": {m.m_exp},\n    "numExps": '
-        + ("[\n      " + ",\n      ".join(map(str, m.num_exps)) + "\n    ]\n  }"
-           if m.num_exps else "[]\n  }")
-        for m in monos)
-    return f"[\n{records}\n]" if records else "[]"
+    records = [_json_form(len(exps)) % (_M_JSON[m], k, *exps) for m, k, exps in monos]
+    if not records:
+        return "[]"
+    # the brackets go into the end records, so the one join is the only copy
+    records[0] = "[\n" + records[0]
+    records[-1] += "\n]"
+    return ",\n".join(records)
 
 
 # -- enumeration -----------------------------------------------------------
 
 
-def _exponent_vectors(n: int, total: int, support: int) -> Iterator[tuple[int, ...]]:
+def _exponent_vectors(n: int, total: int, support: int,
+                      memo: dict[tuple[int, int, int], list[tuple[int, ...]]]
+                      ) -> list[tuple[int, ...]]:
     """Length-n vectors with the given total and at most ``support`` nonzero
-    entries, in descending lexicographic order."""
-    if n == 1:
-        if total == 0 or support:
-            yield (total,)
-        return
-    for e in range(total if support else 0, -1, -1):
-        for rest in _exponent_vectors(n - 1, total - e, support - (e > 0)):
-            yield (e, *rest)
+    entries, in descending lexicographic order; ``memo`` keeps each list
+    built, keyed by the arguments."""
+    key = (n, total, support)
+    vectors = memo.get(key)
+    if vectors is None:
+        if n == 1:
+            vectors = [(total,)] if total == 0 or support else []
+        else:
+            vectors = [(e, *rest) for e in range(total if support else 0, -1, -1)
+                       for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo)]
+        memo[key] = vectors
+    return vectors
 
 
 def _census(n: int, N: int, pq: int, families: tuple[Optional[int], ...]
             ) -> KeysView[GenMonomial]:
     """The census rule for ``families``, as an ordered set in sort_key order."""
+    memo: dict = {}
     return dict.fromkeys(
         GenMonomial(m, k, exps)
         for m in families
         for k in ((0,) if m is None else range(1, N // pq + 1))
         for t in range(0 if k else 1, (N - pq * k) // 2 + 1)
-        for exps in _exponent_vectors(n, t, 2 if k else n)
+        for exps in _exponent_vectors(n, t, 2 if k else n, memo)
     ).keys()
 
 

@@ -34,6 +34,7 @@ from polyads.quantum import (
 from polyads.resonance import ResonanceSpec
 
 FIXTURE = Path(polyads.__file__).parent / "data" / "cloh.model"
+PACKAGE_ROOT = str(Path(polyads.__file__).parents[1])
 
 MINIMAL = """\
 n=2
@@ -456,6 +457,15 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert str(out_file) in err and not out_file.parent.exists()
 
 
+def imports_of(argv: list[str]) -> set[str]:
+    """Modules that ``python -X importtime argv`` imports; the run must succeed."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 class TestPackaging:
     def test_module_entry_point(self):
         import subprocess
@@ -472,14 +482,29 @@ class TestPackaging:
         ["-m", "polyads", "count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
     ])
     def test_census_path_leaves_numpy_unloaded(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(polyads.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
+        imported = imports_of(argv)
         assert "polyads.cli" in imported
         assert "numpy" not in imported and "polyads.quantum" not in imported
+
+    def test_package_import_loads_no_submodule(self):
+        imported = imports_of(["-c", "import polyads"])
+        assert "polyads" in imported
+        assert not {m for m in imported if m.startswith("polyads.")}
+
+    @pytest.mark.parametrize("argv, used, unused", [
+        (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
+         "polyads.counting", {"polyads.monomials", "polyads.resonance", "polyads.zpoly"}),
+        (["verify-tables"],
+         "polyads.counting", {"polyads.monomials", "polyads.resonance", "polyads.zpoly"}),
+        (["enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
+         "polyads.monomials", {"polyads.counting", "polyads.resonance", "polyads.zpoly"}),
+        (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],
+         "polyads.monomials", {"polyads.counting", "polyads.resonance", "polyads.zpoly"}),
+    ], ids=["count", "verify-tables", "enumerate", "audit"])
+    def test_census_commands_import_only_their_module(self, argv, used, unused):
+        imported = imports_of(["-m", "polyads", *argv])
+        assert used in imported
+        assert not imported & unused
 
     def test_quantum_names_load_on_access(self):
         from polyads import quantum
@@ -489,3 +514,27 @@ class TestPackaging:
             getattr(polyads, name)
         with pytest.raises(AttributeError):
             polyads.no_such_name
+
+    def test_every_public_name_is_its_home_module_object(self):
+        from polyads import counting, monomials, quantum, resonance, zpoly
+
+        assert polyads.totals is counting.totals
+        assert polyads.GenMonomial is monomials.GenMonomial
+        assert polyads.spectrum is quantum.spectrum
+        assert polyads.ResonanceSpec is resonance.ResonanceSpec
+        assert polyads.ZPolynomial is zpoly.ZPolynomial
+        modules = (counting, monomials, quantum, resonance, zpoly)
+        for name in polyads.__all__:
+            if name != "__version__":
+                assert any(vars(m).get(name) is getattr(polyads, name) for m in modules), name
+
+    def test_star_import_binds_every_public_name(self):
+        code = ("import polyads\nfrom polyads import *\n"
+                "missing = [n for n in polyads.__all__ if n not in globals()]\n"
+                "assert not missing, missing\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_dir_lists_every_public_name(self):
+        assert set(polyads.__all__) <= set(dir(polyads))

@@ -63,6 +63,26 @@ class TestGenMonomial:
             GenMonomial(-1, 0, (1, 0))  # mixed part without exponent
         with pytest.raises(ValueError):
             GenMonomial(None, 0, (1, -2))
+        with pytest.raises(ValueError):
+            GenMonomial(0, 1, (-1, 0))
+
+    def test_census_members_are_validated_monomials(self):
+        census = [*enumerate_dunham(4, 16), *enumerate_coupling(4, 16, 3, 2)]
+        assert census
+        for m in census:
+            assert type(m) is GenMonomial
+            assert m == GenMonomial(*m)
+
+    def test_equals_its_plain_tuple(self):
+        m = GenMonomial(-1, 2, (1, 0, 3))
+        assert m == (-1, 2, (1, 0, 3)) and hash(m) == hash((-1, 2, (1, 0, 3)))
+        assert (m.m_part, m.m_exp, m.num_exps) == tuple(m)
+
+    def test_replace_validates(self):
+        m = GenMonomial(None, 0, (1, 0))
+        assert m._replace(num_exps=(2, 0)) == GenMonomial(None, 0, (2, 0))
+        with pytest.raises(ValueError):
+            m._replace(m_exp=2)
 
     def test_degree_weights_mixed_part(self):
         m = GenMonomial(-1, 2, (1, 0, 3))
