@@ -37,6 +37,19 @@ expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1.5 --samples 
 # a header n too large to index a vector exits 2 before any term is built
 printf 'n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n' > "$TMP/huge_n.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax 4
+# exact algebra: the generator bracket table and the syzygy hold, and a
+# product of generators is invariant, all with zero residual
+python -c '
+import sys
+from polyads.resonance import ResonanceSpec, ad_h0, generators, syzygy_residual, verify_bracket_table
+for p, q in ((1, 1), (2, 1), (3, 1), (3, 2)):
+    spec = ResonanceSpec(n=3, p=p, q=q)
+    gens = generators(spec)
+    assert all(entry.ok for entry in verify_bracket_table(spec)), (p, q)
+    assert syzygy_residual(spec).is_zero(), (p, q)
+    assert ad_h0(gens[-1] * gens[0] ** 2 * gens[3], spec).is_zero(), (p, q)
+assert "sympy" not in sys.modules
+'
 # the shipped model survives parse and serialize byte for byte, comments aside
 grep -v '^#' "$MODEL" > "$TMP/body.model"
 python -c 'import sys; from polyads.cli import parse_model_file, serialize_model; sys.stdout.write(serialize_model(parse_model_file(sys.argv[1])))' "$MODEL" > "$TMP/round.model"

@@ -7,6 +7,14 @@ immutable by convention and pure, so values can be shared freely. Floating
 point enters only in :meth:`ZPolynomial.evaluate`; every algebraic identity
 (brackets, syzygy, kernel membership) is checked with zero residual, never a
 tolerance.
+
+Each monomial is keyed by one packed int of 2n + 1 fields, ``EXP_BITS``
+bits each. From the most significant field down they hold the total degree,
+the exponents of z_1..z_n and those of z_1*..z_n*, so the product of two
+monomials is the sum of their keys and integer order is graded lex order.
+The total degree of every monomial is at most ``MAX_DEGREE`` = 2**EXP_BITS
+- 1, which bounds every field; each operation that makes an exponent raises
+``ValueError`` before a field could carry into its neighbour.
 """
 
 from __future__ import annotations
@@ -14,8 +22,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add
 from typing import Iterator, NamedTuple, Sequence
+
+# Bits per field of a packed monomial key, and the largest total degree.
+EXP_BITS = 16
+MAX_DEGREE = (1 << EXP_BITS) - 1
 
 
 class ComplexRational(NamedTuple):
@@ -60,9 +71,38 @@ class ZMonomial(NamedTuple):
     def degree(self) -> int:
         return sum(self.a) + sum(self.b)
 
-    def sort_key(self) -> tuple:
-        # graded lex on the concatenated exponent vector
-        return (self.degree, self.a + self.b)
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"total degree {degree} is over the limit of {MAX_DEGREE}")
+
+
+def _pack(n: int, a: Sequence[int], b: Sequence[int]) -> int:
+    """The key of z^a z*^b; raises unless a and b are n exponents each."""
+    if len(a) != n or len(b) != n:
+        raise ValueError("monomial does not match dimension")
+    exps = tuple(chain(a, b))
+    for e in exps:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent {e!r} is not a non-negative int")
+    degree = sum(exps)
+    _check_degree(degree)
+    key = degree
+    for e in exps:
+        key = key << EXP_BITS | e
+    return key
+
+
+def _unpack(n: int, key: int) -> ZMonomial:
+    exps = [key >> (EXP_BITS * i) & MAX_DEGREE for i in range(2 * n - 1, -1, -1)]
+    return ZMonomial(tuple(exps[:n]), tuple(exps[n:]))
+
+
+def _unit(n: int, k: int) -> tuple[int, ...]:
+    """Exponent vector of the k-th variable (k is 1-based)."""
+    if not 1 <= k <= n:
+        raise ValueError(f"variable index {k} is outside 1..{n}")
+    return tuple(1 if j == k - 1 else 0 for j in range(n))
 
 
 def _check_same_n(p: "ZPolynomial", q: "ZPolynomial") -> None:
@@ -73,19 +113,21 @@ def _check_same_n(p: "ZPolynomial", q: "ZPolynomial") -> None:
 class ZPolynomial:
     """Polynomial in z_k, z_k* with exact complex-rational coefficients.
 
-    ``_terms`` maps each :class:`ZMonomial` to a Gaussian-integer numerator
-    ``(re, im)`` of Python ints, and ``_den`` is one positive denominator
-    for all of them. The constructor ``ZPolynomial(n, terms, den)`` takes
-    that internal form, drops zero numerators and divides the numerators
-    and ``_den`` by their common gcd. The form is thus in lowest terms (zero
-    has ``_den`` 1), and equality is plain dict and ``_den`` equality.
-    Build polynomials with the class methods; coefficients enter and leave
-    as :class:`ComplexRational`.
+    ``_terms`` maps each packed monomial key (see the module docstring) to
+    a Gaussian-integer numerator ``(re, im)`` of Python ints, and ``_den``
+    is one positive denominator for all of them. The constructor
+    ``ZPolynomial(n, terms, den)`` takes that internal form, drops zero
+    numerators and divides the numerators and ``_den`` by their common gcd.
+    The form is thus in lowest terms (zero has ``_den`` 1), and equality is
+    plain dict and ``_den`` equality. Build polynomials with the class
+    methods; monomials enter and leave as exponent vectors or
+    :class:`ZMonomial`, coefficients as :class:`ComplexRational`. No term
+    has total degree above ``MAX_DEGREE``.
     """
 
     __slots__ = ("n", "_terms", "_den")
 
-    def __init__(self, n: int, terms: dict[ZMonomial, tuple[int, int]] | None = None,
+    def __init__(self, n: int, terms: dict[int, tuple[int, int]] | None = None,
                  den: int = 1):
         if n < 1:
             raise ValueError("need at least one oscillator")
@@ -115,20 +157,20 @@ class ZPolynomial:
     @classmethod
     def var(cls, n: int, k: int) -> "ZPolynomial":
         """The variable z_k (k is 1-based)."""
-        return cls.monomial(n, tuple(1 if j == k - 1 else 0 for j in range(n)), (0,) * n)
+        return cls.monomial(n, _unit(n, k), (0,) * n)
 
     @classmethod
     def var_conj(cls, n: int, k: int) -> "ZPolynomial":
         """The variable z_k* (k is 1-based)."""
-        return cls.monomial(n, (0,) * n, tuple(1 if j == k - 1 else 0 for j in range(n)))
+        return cls.monomial(n, (0,) * n, _unit(n, k))
 
     @classmethod
     def monomial(cls, n: int, a: Sequence[int], b: Sequence[int],
                  coef: Scalar = 1) -> "ZPolynomial":
-        if len(a) != n or len(b) != n:
-            raise ValueError("monomial does not match dimension")
+        """``coef`` z^a z*^b; a and b are n non-negative ints each."""
+        key = _pack(n, a, b)
         re, im, den = _split(coef)
-        return cls(n, {ZMonomial(tuple(a), tuple(b)): (re, im)}, den)
+        return cls(n, {key: (re, im)}, den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -158,11 +200,14 @@ class ZPolynomial:
         if not isinstance(other, ZPolynomial):
             return NotImplemented
         _check_same_n(self, other)
-        out: dict[ZMonomial, tuple[int, int]] = {}
+        _check_degree(self.degree() + other.degree())
+        out: dict[int, tuple[int, int]] = {}
+        get = out.get
+        zero = (0, 0)
         for m1, (a, b) in self._terms.items():
             for m2, (c, d) in other._terms.items():
-                mono = ZMonomial(tuple(map(add, m1.a, m2.a)), tuple(map(add, m1.b, m2.b)))
-                re, im = out.get(mono, (0, 0))
+                mono = m1 + m2
+                re, im = get(mono, zero)
                 out[mono] = (re + a * c - b * d, im + a * d + b * c)
         return ZPolynomial(self.n, out, self._den * other._den)
 
@@ -171,6 +216,7 @@ class ZPolynomial:
     def __pow__(self, k: int) -> "ZPolynomial":
         if k < 0:
             raise ValueError("negative power")
+        _check_degree(self.degree() * k)
         out = ZPolynomial.one(self.n)
         base = self
         while k:
@@ -191,7 +237,8 @@ class ZPolynomial:
         return not self._terms
 
     def degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        # the degree is the top field, so the largest key has the largest degree
+        return max(self._terms, default=0) >> (2 * self.n * EXP_BITS)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -201,37 +248,11 @@ class ZPolynomial:
 
     def terms(self) -> Iterator[tuple[ZMonomial, ComplexRational]]:
         """Iterate terms in the canonical graded-lex order."""
-        for mono in sorted(self._terms, key=ZMonomial.sort_key):
-            yield mono, self._coef(self._terms[mono])
+        for key in sorted(self._terms):
+            yield _unpack(self.n, key), self._coef(self._terms[key])
 
     def coefficient(self, a: Sequence[int], b: Sequence[int]) -> ComplexRational:
-        return self._coef(self._terms.get(ZMonomial(tuple(a), tuple(b)), (0, 0)))
-
-    # -- calculus ----------------------------------------------------------
-
-    def diff_z(self, k: int) -> "ZPolynomial":
-        """Partial derivative with respect to z_k (1-based)."""
-        j = k - 1
-        out: dict[ZMonomial, tuple[int, int]] = {}
-        for mono, (re, im) in self._terms.items():
-            e = mono.a[j]
-            if e == 0:
-                continue
-            a = mono.a[:j] + (e - 1,) + mono.a[j + 1:]
-            out[ZMonomial(a, mono.b)] = (re * e, im * e)
-        return ZPolynomial(self.n, out, self._den)
-
-    def diff_z_conj(self, k: int) -> "ZPolynomial":
-        """Partial derivative with respect to z_k* (1-based)."""
-        j = k - 1
-        out: dict[ZMonomial, tuple[int, int]] = {}
-        for mono, (re, im) in self._terms.items():
-            e = mono.b[j]
-            if e == 0:
-                continue
-            b = mono.b[:j] + (e - 1,) + mono.b[j + 1:]
-            out[ZMonomial(mono.a, b)] = (re * e, im * e)
-        return ZPolynomial(self.n, out, self._den)
+        return self._coef(self._terms.get(_pack(self.n, a, b), (0, 0)))
 
     # -- numerics ----------------------------------------------------------
 
@@ -241,7 +262,8 @@ class ZPolynomial:
             raise ValueError("point does not match dimension")
         zc = [complex(v).conjugate() for v in z]
         total = 0.0 + 0.0j
-        for mono, coef in self._terms.items():
+        for key, coef in self._terms.items():
+            mono = _unpack(self.n, key)
             val = complex(self._coef(coef))
             for zk, e in zip(z, mono.a):
                 if e:
@@ -279,9 +301,33 @@ def poisson_bracket(f: ZPolynomial, g: ZPolynomial) -> ZPolynomial:
     {f, g} = -i sum_k (df/dz_k dg/dz_k* - df/dz_k* dg/dz_k),
     which gives {z_j, z_k*} = -i delta_jk. Exact, antisymmetric, and a
     derivation in each slot.
+
+    One pass over term pairs: for each k, the pair of terms c1 z^a1 z*^b1 and
+    c2 z^a2 z*^b2 adds -i (a1_k b2_k - b1_k a2_k) c1 c2 at the sum of their
+    keys less the keys of z_k and z_k*. The factor is zero unless the sum has
+    both z_k and z_k*, so the key stays a valid monomial.
     """
     _check_same_n(f, g)
-    acc = ZPolynomial.zero(f.n)
-    for k in range(1, f.n + 1):
-        acc = acc + f.diff_z(k) * g.diff_z_conj(k) - f.diff_z_conj(k) * g.diff_z(k)
-    return acc * CR_MINUS_I
+    n = f.n
+    _check_degree(f.degree() + g.degree() - 2)
+    out: dict[int, tuple[int, int]] = {}
+    get = out.get
+    zero = (0, 0)
+    mask = MAX_DEGREE
+    for k in range(n):
+        sa, sb = EXP_BITS * (2 * n - 1 - k), EXP_BITS * (n - 1 - k)
+        # key of z_k z_k*: one in its two exponent fields, two in the degree
+        step = (2 << (2 * n * EXP_BITS)) + (1 << sa) + (1 << sb)
+        fk = [(m - step, re, im, m >> sa & mask, m >> sb & mask)
+              for m, (re, im) in f._terms.items() if (m >> sa | m >> sb) & mask]
+        gk = [(m, re, im, m >> sa & mask, m >> sb & mask)
+              for m, (re, im) in g._terms.items() if (m >> sa | m >> sb) & mask]
+        for m1, x1, y1, a1, b1 in fk:
+            for m2, x2, y2, a2, b2 in gk:
+                fac = a1 * b2 - b1 * a2
+                if fac:
+                    mono = m1 + m2
+                    re, im = get(mono, zero)
+                    # -i fac c1 c2 with c1 c2 = (x1 x2 - y1 y2) + i (x1 y2 + y1 x2)
+                    out[mono] = (re + fac * (x1 * y2 + y1 * x2), im + fac * (y1 * y2 - x1 * x2))
+    return ZPolynomial(n, out, f._den * g._den)

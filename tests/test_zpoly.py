@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polyads.zpoly import (
     CR_MINUS_I,
+    EXP_BITS,
     ComplexRational,
     ZMonomial,
     ZPolynomial,
@@ -32,6 +33,40 @@ def st_poly(slots: int, max_exp: int = 3, max_terms: int = 4):
             ZPolynomial.zero(slots),
         )
     )
+
+
+def _partial(p: ZPolynomial, k: int, conj: bool) -> ZPolynomial:
+    out = ZPolynomial.zero(p.n)
+    for mono, coef in p.terms():
+        a, b = list(mono.a), list(mono.b)
+        exps = b if conj else a
+        e = exps[k - 1]
+        if e:
+            exps[k - 1] = e - 1
+            out = out + ZPolynomial.monomial(p.n, a, b, coef) * e
+    return out
+
+
+def diff_z(p: ZPolynomial, k: int) -> ZPolynomial:
+    """Partial derivative with respect to z_k (1-based), term by term."""
+    return _partial(p, k, conj=False)
+
+
+def diff_z_conj(p: ZPolynomial, k: int) -> ZPolynomial:
+    """Partial derivative with respect to z_k* (1-based), term by term."""
+    return _partial(p, k, conj=True)
+
+
+def slow_bracket(f: ZPolynomial, g: ZPolynomial) -> ZPolynomial:
+    """The bracket from its definition: 2n derivative products summed.
+
+    The independent oracle for the one-pass ``poisson_bracket``; it goes
+    through the public constructors, sums and products only.
+    """
+    acc = ZPolynomial.zero(f.n)
+    for k in range(1, f.n + 1):
+        acc = acc + diff_z(f, k) * diff_z_conj(g, k) - diff_z_conj(f, k) * diff_z(g, k)
+    return acc * CR_MINUS_I
 
 
 class TestComplexRational:
@@ -84,13 +119,33 @@ class TestZPolynomial:
         assert p.coefficient((1, 0), (0, 2)) == ComplexRational.of(3, 1)
         assert p.coefficient((0, 0), (0, 0)) == ComplexRational.of(0)
 
+    def test_coefficient_rejects_bad_vectors(self):
+        p = ZPolynomial.var(2, 1)
+        for a, b in [((1,), (0, 0)), ((1, 0), (0, 0, 0)), ((), ()), ((-1, 0), (0, 0))]:
+            with pytest.raises(ValueError):
+                p.coefficient(a, b)
+
+    @pytest.mark.parametrize("a", [(-1, 0), (1.5, 0), (0, 2.0), ("1", 0), (2 ** EXP_BITS, 0)])
+    def test_monomial_rejects_non_polynomial_exponents(self, a):
+        with pytest.raises(ValueError):
+            ZPolynomial.monomial(2, a, (0, 0))
+        with pytest.raises(ValueError):
+            ZPolynomial.monomial(2, (0, 0), a)
+
+    @pytest.mark.parametrize("k", [5, 3, 0, -1])
+    def test_variable_index_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError):
+            ZPolynomial.var(2, k)
+        with pytest.raises(ValueError):
+            ZPolynomial.var_conj(2, k)
+
     def test_derivative_drops_degree(self):
         z = ZPolynomial.var(2, 1)
         p = z ** 4
-        dp = p.diff_z(1)
+        dp = diff_z(p, 1)
         assert dp == 4 * (z ** 3)
-        assert p.diff_z(2).is_zero()
-        assert p.diff_z_conj(1).is_zero()
+        assert diff_z(p, 2).is_zero()
+        assert diff_z_conj(p, 1).is_zero()
 
     def test_evaluate_against_horner_free_form(self):
         z1 = ZPolynomial.var(2, 1)
@@ -167,6 +222,56 @@ class TestPoissonBracket:
             + poisson_bracket(h, poisson_bracket(f, g))
         )
         assert total.is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st_poly(n, max_exp=6, max_terms=5), st_poly(n, max_exp=6, max_terms=5))))
+    def test_matches_derivative_oracle(self, fg):
+        f, g = fg
+        assert poisson_bracket(f, g) == slow_bracket(f, g)
+
+
+class TestExponentWidth:
+    """Exponents up to the field limit are exact; one more raises."""
+
+    top = 2 ** EXP_BITS - 1
+
+    def test_top_exponent_round_trips(self):
+        for p, a, b, c in [(ZPolynomial.var(2, 1) ** self.top, (self.top, 0), (0, 0), 1),
+                           (ZPolynomial.monomial(2, (0, 0), (0, self.top), 3), (0, 0), (0, self.top), 3)]:
+            assert list(p.terms()) == [(ZMonomial(a, b), ComplexRational.of(c))]
+            assert p.coefficient(a, b) == ComplexRational.of(c)
+            assert p.degree() == self.top
+        assert str(ZPolynomial.var_conj(2, 2) ** self.top) == f"(1,0) z2*^{self.top}"
+        assert str(ZPolynomial.var(2, 1) ** self.top) == f"(1,0) z1^{self.top}"
+
+    def test_power_past_the_limit_raises(self):
+        with pytest.raises(ValueError):
+            ZPolynomial.var(2, 1) ** (2 ** EXP_BITS)
+        with pytest.raises(ValueError):
+            (ZPolynomial.var(2, 1) * ZPolynomial.var_conj(2, 2)) ** (2 ** (EXP_BITS - 1))
+
+    def test_product_past_the_limit_raises(self):
+        for k in (1, 2):
+            for var in (ZPolynomial.var, ZPolynomial.var_conj):
+                big = var(2, k) ** (self.top - 1)
+                assert (big * var(2, k)).degree() == self.top
+                with pytest.raises(ValueError):
+                    big * var(2, k) ** 2
+        with pytest.raises(ValueError):
+            ZPolynomial.var(2, 1) ** 40000 * ZPolynomial.var(2, 1) ** 30000
+
+    def test_bracket_at_the_limit(self):
+        # {z_k^a, z_k^c z_k*} = -i a z_k^(a+c-1): a + c overflows the z_k field
+        # before the bracket takes one z_k and one z_k* away
+        n = 2
+        for k in (1, 2):
+            f = ZPolynomial.var(n, k) ** (self.top - 5)
+            g = ZPolynomial.var(n, k) ** 6 * ZPolynomial.var_conj(n, k)
+            expected = ZPolynomial.var(n, k) ** self.top * ComplexRational.of(0, 5 - self.top)
+            assert poisson_bracket(f, g) == expected == slow_bracket(f, g)
+            with pytest.raises(ValueError):
+                poisson_bracket(f * ZPolynomial.var(n, k), g)
 
 
 class TestCanonicalForm:
