@@ -26,6 +26,10 @@ test "$(python -m polyads enumerate --n 3 --p 2 --q 1 --order 12 | tail -n 1)" =
 python -m polyads enumerate --n 3 --p 2 --q 1 --order 12 --format json > "$TMP/census.json"
 python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/census.json" > "$TMP/census_stdlib.json"
 cmp "$TMP/census.json" "$TMP/census_stdlib.json"
+# so is the streamed spectrum JSON
+python -m polyads spectrum --model "$MODEL" --pmax 20 --n3max 2 --format json --out "$TMP/levels.json"
+python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/levels.json" > "$TMP/levels_stdlib.json"
+cmp "$TMP/levels.json" "$TMP/levels_stdlib.json"
 # a 3:2 model has no states at P = 1 and must still get a spectrum
 printf 'n=2\np=3\nq=2\norder=6\nomega 1 1000.0\nomega 2 1500.0\ncoupling 1 - 0.5\n' > "$TMP/three_two.model"
 python -m polyads spectrum --model "$TMP/three_two.model" --pmax 10

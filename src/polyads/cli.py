@@ -314,7 +314,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    from .quantum import spectrum, write_spectrum_csv
+    from .quantum import spectrum, write_spectrum_csv, write_spectrum_json
 
     try:
         model = parse_model_file(args.model)
@@ -325,12 +325,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     blocks, rows = spectrum(model, args.pmax, args.n3max)
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = [
-                {"P": P, "n3": n3, "index": idx, "energy_cm1": energy}
-                for P, n3, idx, energy in rows
-            ]
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            write_spectrum_json(fh, rows)
         else:
             write_spectrum_csv(fh, rows)
     summary = f"blocks {len(blocks)} levels {len(rows)}\n"

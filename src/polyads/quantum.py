@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .monomials import enumerate_coupling, enumerate_dunham
 from .resonance import ResonanceSpec
 
 FockState = tuple[int, ...]
@@ -336,6 +335,14 @@ def _number_factors(occ: np.ndarray, exps: Sequence[int]) -> np.ndarray:
     return out
 
 
+def _ladder_table(low: int, high: int, dim: int) -> list[int]:
+    """Squared amplitude of a+^high a^low on one mode, over occupations
+    0..dim-1: the exact integer v!/(v-low)! * (v-low+high)!/(v-low)!, and 0
+    where the ladder falls below the vacuum or lands past dim - 1."""
+    return [math.perm(v, low) * math.perm(v - low + high, high)
+            if low <= v and v - low + high < dim else 0 for v in range(dim)]
+
+
 def _blocks(model: HamiltonianModel, caps: Sequence[int],
             lattice: Sequence[Sequence[int]],
             select: Callable[[np.ndarray], np.ndarray]) -> list[PolyadBlock]:
@@ -344,13 +351,19 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     ``select`` maps the labels of the box rows to a mask. Blocks come in
     label order, each basis lexicographic. Caps over MAX_BOX_STATES
     candidates, or blocks over MAX_MATRIX_ENTRIES entries in all, raise
-    ValueError before anything is allocated or assembled.
+    ValueError before anything is allocated or assembled; so does a block
+    with an entry that is not finite, before it is diagonalised.
 
     A state's key is its box row, and each term is applied once to every
     kept state. A term whose shift changes the label leaves every block and
     is projected out whole; any other lands in the source's own block,
     unless it falls below the vacuum or past the caps, where it is dropped.
-    Ladder amplitudes are square roots of exact integer products. An
+    The target's box row is the source's plus the shift dotted with the
+    C-order strides of the box. Ladder amplitudes are square roots of exact
+    integer products, gathered from one table per mode (_ladder_table) that
+    is 0 wherever the branch is dropped. While the product of the tables'
+    maxima stays below 2**63 the products are int64, else Python ints; the
+    cast to float rounds to nearest either way, as math.sqrt does. An
     element [a, b], a before b in the basis, sums the raising branches from
     a, whose shifts are lexicographically positive, before those from b,
     whose shifts are negative. Running the positive shifts first, each
@@ -367,9 +380,14 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     box = np.indices(dims).reshape(n, -1).T
     labels = box @ lat.T
     rows = np.flatnonzero(select(labels))
-    uniq, inverse, dim = np.unique(labels[rows], axis=0, return_inverse=True,
-                                   return_counts=True)
-    rows = rows[np.argsort(inverse.ravel(), kind="stable")]  # by label, then box order
+    # by label, then by box row, which is lexicographic order
+    order = np.lexsort((rows, *labels[rows].T[::-1]))
+    rows = rows[order]
+    keys = labels[rows]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    first = np.flatnonzero(new)
+    dim = np.diff(first, append=len(rows))
     area = dim ** 2
     entries = int(area.sum())
     if entries > MAX_MATRIX_ENTRIES:
@@ -377,41 +395,54 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
                          f"over the limit of {MAX_MATRIX_ENTRIES}")
     where = np.full(size, -1)
     where[rows] = np.arange(len(rows))
-    first, offset = np.cumsum(dim) - dim, np.cumsum(area) - area
+    offset = np.cumsum(area) - area
     local = np.arange(len(rows)) - np.repeat(first, dim)  # position in the block
     width, base = np.repeat(dim, dim), np.repeat(offset, dim)
     diagonal = base + local * (width + 1)
     occ = box[rows]
+    strides = [math.prod(dims[k + 1:]) for k in range(n)]
     buf = np.zeros(entries)
     terms = [t for t in model.terms if t.coeff != 0.0]
     terms.sort(key=lambda t: t.shift < (0,) * n)
-    for t in terms:
-        shift = np.array(t.shift)
-        if np.any(lat @ shift):
-            continue
-        digits = _number_factors(occ, t.num_exps)
-        if t.kind == "dunham":
-            buf[diagonal] += t.coeff * digits
-            continue
-        target = occ + shift
-        src = np.flatnonzero((digits != 0.0) & np.all(occ >= t.lower_exps, axis=1)
-                             & np.all(target < dims, axis=1))
-        col, row = local[src], local[where[np.ravel_multi_index(target[src].T, dims)]]
-        sq = np.ones(len(src), dtype=object)
-        for k, (low, high) in enumerate(zip(t.lower_exps, t.raise_exps)):
-            for j in [*range(low), *range(low - high, low)]:
-                sq = sq * (occ[src, k] - j).astype(object)
-        amp = np.fromiter(map(math.sqrt, sq), dtype=float, count=len(sq))
-        val = t.coeff * (digits[src] * amp)
-        buf[base[src] + row * width[src] + col] += val  # distinct within one term
-        buf[base[src] + col * width[src] + row] += val
+    # huge coefficients overflow to inf here; the check below rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in terms:
+            if np.any(lat @ t.shift):
+                continue
+            digits = _number_factors(occ, t.num_exps)
+            if t.kind == "dunham":
+                buf[diagonal] += t.coeff * digits
+                continue
+            tables = [(k, _ladder_table(low, high, dims[k]))
+                      for k, (low, high) in enumerate(zip(t.lower_exps, t.raise_exps))
+                      if low or high]
+            dtype = np.int64 if math.prod(max(tab) for _, tab in tables) < 2 ** 63 else object
+            sq = np.ones(len(occ), dtype=dtype)
+            for k, tab in tables:
+                sq = sq * np.array(tab, dtype=dtype)[occ[:, k]]
+            src = np.flatnonzero((digits != 0.0) & (sq != 0))
+            try:
+                amp = np.sqrt(sq[src].astype(float))
+            except OverflowError:
+                raise ValueError(f"term {t.key} has a ladder amplitude "
+                                 f"past the float range") from None
+            step = sum(s * stride for s, stride in zip(t.shift, strides))
+            col, row = local[src], local[where[rows[src] + step]]
+            val = t.coeff * (digits[src] * amp)
+            buf[base[src] + row * width[src] + col] += val  # distinct within one term
+            buf[base[src] + col * width[src] + row] += val
+    bad = ~np.isfinite(buf)
+    if bad.any():
+        label = keys[first[np.searchsorted(offset, np.argmax(bad), side="right") - 1]]
+        raise ValueError(f"block {tuple(label.tolist())} has matrix entries that are not finite")
     states = list(map(tuple, occ.tolist()))
     blocks = []
-    for label, i, d, o in zip(uniq.tolist(), first.tolist(), dim.tolist(), offset.tolist()):
+    for label, i, d, o in zip(keys[first].tolist(), first.tolist(), dim.tolist(),
+                              offset.tolist()):
         mat = buf[o:o + d * d].reshape(d, d)
-        eig = tuple(float(x) for x in np.linalg.eigvalsh(mat))
         blocks.append(PolyadBlock(label=tuple(label), basis=tuple(states[i:i + d]),
-                                  matrix=mat, eigenvalues=eig))
+                                  matrix=mat,
+                                  eigenvalues=tuple(np.linalg.eigvalsh(mat).tolist())))
     return blocks
 
 
@@ -470,6 +501,22 @@ def write_spectrum_csv(out: TextIO, rows: Iterable[tuple[int, int, int, float]])
     return count
 
 
+def write_spectrum_json(out: TextIO, rows: Iterable[tuple[int, int, int, float]]) -> int:
+    """The text of ``json.dump(records, out, indent=2)`` plus a newline, one
+    record {"P", "n3", "index", "energy_cm1"} per row, written as it goes.
+
+    Energies are finite floats, whose repr is the text json gives them.
+    """
+    count = 0
+    for P, n3, idx, energy in rows:
+        out.write(",\n" if count else "[\n")
+        out.write(f'  {{\n    "P": {P},\n    "n3": {n3},\n    "index": {idx},\n'
+                  f'    "energy_cm1": {energy!r}\n  }}')
+        count += 1
+    out.write("\n]\n" if count else "[]\n")
+    return count
+
+
 # -- the worked model ------------------------------------------------------
 
 # Fitted coefficient values for the worked three-mode 2:1 model, keyed by
@@ -509,6 +556,8 @@ def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
     total. A pair's two monomials differ only in the mixed generator, and
     the m = -1 member stands for it.
     """
+    from .monomials import enumerate_coupling, enumerate_dunham
+
     zero = (0,) * spec.n
     terms = [TermSpec("dunham", zero, zero, mono.num_exps, 0.0, "0")
              for mono in enumerate_dunham(spec.n, order)]

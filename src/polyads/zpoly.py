@@ -178,7 +178,8 @@ class ZPolynomial:
         _check_same_n(self, other)
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, den // other._den
-        out = {m: (re * s, im * s) for m, (re, im) in self._terms.items()}
+        out = (dict(self._terms) if s == 1
+               else {m: (re * s, im * s) for m, (re, im) in self._terms.items()})
         for mono, (re, im) in other._terms.items():
             r0, i0 = out.get(mono, (0, 0))
             out[mono] = (r0 + re * t, i0 + im * t)

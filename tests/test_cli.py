@@ -377,6 +377,21 @@ class TestSpectrumCommand:
         labels = {line.split(",")[0] for line in out_file.read_text().splitlines()[1:]}
         assert labels == {str(P) for P in range(11) if P != 1}
 
+    @pytest.mark.parametrize("lines", [
+        "omega 1 1e308\nomega 2 1e308\n",
+        "dunham 1:2 1e308\n",
+    ], ids=["omega", "dunham"])
+    def test_non_finite_block_exit_code(self, tmp_path, lines):
+        # one error line, no numpy warning and no NaN levels
+        model_file = tmp_path / "huge.model"
+        model_file.write_text("n=2\np=2\nq=1\norder=4\n" + lines)
+        proc = subprocess.run([sys.executable, "-m", "polyads", "spectrum", "--model",
+                               str(model_file), "--pmax", "2", "--format", "json"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: block (2,) has matrix entries that are not finite\n"
+
     def test_oversized_caps_exit_code(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", str(FIXTURE),
                              "--pmax", "100000", "--n3max", "7")
@@ -505,6 +520,12 @@ class TestPackaging:
         imported = imports_of(["-m", "polyads", *argv])
         assert used in imported
         assert not imported & unused
+
+    def test_spectrum_leaves_the_census_unloaded(self):
+        imported = imports_of(["-m", "polyads", "spectrum", "--model", str(FIXTURE),
+                               "--pmax", "4"])
+        assert "polyads.quantum" in imported
+        assert not imported & {"polyads.monomials", "polyads.counting"}
 
     def test_quantum_names_load_on_access(self):
         from polyads import quantum

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyads.cli import main as cli_main, parse_model_text, serialize_model
 from polyads.counting import totals
 from polyads import quantum
 from polyads.quantum import (
@@ -35,6 +40,7 @@ from polyads.quantum import (
     spectrum,
     state_label,
     write_spectrum_csv,
+    write_spectrum_json,
 )
 from polyads.resonance import ResonanceSpec
 
@@ -524,6 +530,46 @@ class TestSpectrum:
         first = lines[1].split(",")
         assert first[:3] == ["0", "0", "0"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                              st.integers(0, 10 ** 6),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=8))
+    @example([])
+    @example([(0, 0, 0, -0.0), (1, 0, 0, 0.0), (2, 0, 0, 5e-324), (2, 0, 1, -2.2e-308)])
+    @example([(3, 1, 0, 1e300), (3, 1, 1, -1e300), (4, 7, 2, 2.0), (5, 0, 0, -1754.0)])
+    def test_json_writer_is_the_stdlib_text(self, rows):
+        payload = [{"P": P, "n3": n3, "index": idx, "energy_cm1": energy}
+                   for P, n3, idx, energy in rows]
+        out = io.StringIO()
+        assert write_spectrum_json(out, rows) == len(rows)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("lines", [
+        ["omega 1 1e308", "omega 2 1e308"],
+        ["dunham 1:2 1e308"],
+    ], ids=["omega", "dunham"])
+    def test_non_finite_block_is_rejected(self, lines):
+        # the (2,) block overflows to inf; the (1,) block stays finite
+        model = parse_model_text("\n".join(["n=2", "p=2", "q=1", "order=4", *lines]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectrum(model, pmax=1, n3max=0)[0][1].eigenvalues[0] == 1e308
+            with pytest.raises(ValueError, match=r"^block \(2,\) has matrix entries"):
+                spectrum(model, pmax=2, n3max=0)
+
+    def test_seeded_two_mode_json_digest_pinned(self, capsys, tmp_path):
+        # every slot of the 2:1 order-12 census at P <= 160, the spectrum-2mode
+        # shape: the m = 4 ladder passes 2**63 and takes Python ints
+        model_file = tmp_path / "seeded.model"
+        model_file.write_text(serialize_model(_seeded_model(SPEC21_2, 12, seed=5)))
+        out_file = tmp_path / "levels.json"
+        assert cli_main(["spectrum", "--model", str(model_file), "--pmax", "160",
+                         "--format", "json", "--out", str(out_file)]) == 0
+        assert capsys.readouterr().out == "blocks 161 levels 6561\n"
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+            "96a525f4313ea86ab35f0e814d5e199cbd12448810e1a3a93488d3c9a4dce684"
+
     def test_determinism(self):
         a = spectrum(cloh_model(), pmax=6, n3max=1)[1]
         b = spectrum(cloh_model(), pmax=6, n3max=1)[1]
@@ -709,6 +755,36 @@ class TestBuildBlockOracle:
             coupling_term(spec, 4, (0, 0), coeff=1e-9),))
         assert (m.terms[0].raise_exps, m.terms[0].lower_exps) == ((8, 0), (0, 4))
         _assert_matches_reference(m, (160,), (160, 80))
+
+    @pytest.mark.parametrize("m, P, caps, above, below", [
+        (3, 160, (160, 80), 2 ** 53, 2 ** 63),
+        (4, 136, (36, 54), 2 ** 63, 2 ** 64),
+    ], ids=["int64", "past-int64"])
+    def test_amplitudes_at_the_int64_edge(self, m, P, caps, above, below):
+        # the largest squared amplitude of the block, and the product of the
+        # per-mode maxima over the caps that picks the integer type, lie
+        # past exact float range but within int64, then just past int64
+        model = HamiltonianModel(spec=SPEC21_2, order=12, terms=(
+            coupling_term(SPEC21_2, m, (0, 0), coeff=1e-9),))
+        basis = build_block(model, (P,), caps).basis
+        largest = max(math.perm(n1 + 2 * m, 2 * m) * math.perm(n2, m)
+                      for n1, n2 in basis if n2 >= m and n1 + 2 * m <= caps[0])
+        maxima = math.perm(caps[0], 2 * m) * math.perm(caps[1], m)
+        assert above < largest <= maxima < below
+        _assert_matches_reference(model, (P,), caps)
+
+    def test_amplitude_past_float_range_is_rejected(self):
+        model = HamiltonianModel(spec=SPEC21_2, order=180, terms=(
+            coupling_term(SPEC21_2, 60, (0, 0), coeff=1e-300),))
+        build_block(model, (144,), (144, 72))
+        with pytest.raises(ValueError, match="ladder amplitude past the float range"):
+            build_block(model, (146,), (146, 73))
+
+    def test_empty_lattice_is_one_block(self):
+        m = _seeded_model(ResonanceSpec(n=2, p=1, q=1), 4, seed=3)
+        block = build_block(m, (), (2, 3), lattice=[])
+        assert block.basis == tuple(itertools.product(range(3), range(4)))
+        _assert_matches_reference(m, (), (2, 3), lattice=[])
 
     def test_spectrum_blocks_match_build_block(self):
         # spectrum cuts every block from one box over the caps of the run;

@@ -290,6 +290,14 @@ class TestCanonicalForm:
         assert z - z == ZPolynomial.zero(2)
         assert str(z - z) == "0"
 
+    def test_sum_over_the_left_denominator(self):
+        # 1/6 is already the common denominator, so the left terms are copied
+        # unscaled; the copy must not alias them, and the sum is in lowest terms
+        a = ZPolynomial.var(2, 1) * Fraction(1, 6)
+        b = ZPolynomial.var(2, 1) * Fraction(1, 3) + ZPolynomial.var(2, 2)
+        assert a + b == ZPolynomial.var(2, 1) * Fraction(1, 2) + ZPolynomial.var(2, 2)
+        assert a == ZPolynomial.monomial(2, (1, 0), (0, 0), Fraction(1, 6))
+
     def test_str_prints_lowest_terms(self):
         p = ZPolynomial.monomial(2, (1, 0), (0, 1), 3) * Fraction(1, 6)
         assert str(p) == "(1/2,0) z1^1 z2*^1"
