@@ -22,10 +22,16 @@ python -m polyads spectrum --model "$MODEL" --pmax 10 --n3max 1
 n_op=$(python -m polyads count --n 3 --p 2 --q 1 --order 12 --format json |
     python -c 'import json, sys; print(json.load(sys.stdin)["n_op"])')
 test "$(python -m polyads enumerate --n 3 --p 2 --q 1 --order 12 | tail -n 1)" = "total $n_op"
-# the hand-written census JSON is the text the stdlib encoder gives
-python -m polyads enumerate --n 3 --p 2 --q 1 --order 12 --format json > "$TMP/census.json"
-python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/census.json" > "$TMP/census_stdlib.json"
-cmp "$TMP/census.json" "$TMP/census_stdlib.json"
+# the hand-written census JSON is the text the stdlib encoder gives, at the
+# small size and at the benchmark's size
+for size in "--n 3 --p 2 --q 1 --order 12" "--n 6 --p 3 --q 2 --order 30"; do
+    # shellcheck disable=SC2086
+    python -m polyads enumerate $size --format json > "$TMP/census.json"
+    python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/census.json" > "$TMP/census_stdlib.json"
+    cmp "$TMP/census.json" "$TMP/census_stdlib.json"
+done
+# a coupling census with no monomial is an empty array
+test "$(python -m polyads enumerate --kind coupling --n 2 --p 5 --q 2 --order 6 --format json)" = "[]"
 # so is the streamed spectrum JSON
 python -m polyads spectrum --model "$MODEL" --pmax 20 --n3max 2 --format json --out "$TMP/levels.json"
 python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/levels.json" > "$TMP/levels_stdlib.json"

@@ -247,18 +247,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .monomials import enumerate_coupling, enumerate_dunham, monomials_to_json
+    from .monomials import census_monomials, coupling_blocks, dunham_blocks, write_census_json
 
-    monos = []
+    blocks = []
     if args.kind in ("dunham", "both"):
-        monos.extend(enumerate_dunham(args.n, args.order))
+        blocks += dunham_blocks(args.n, args.order)
     if args.kind in ("coupling", "both"):
-        monos.extend(enumerate_coupling(args.n, args.order, args.p, args.q))
+        blocks += coupling_blocks(args.n, args.order, args.p, args.q)
     with _output(args.out) as fh:
         if args.format == "json":
-            fh.write(monomials_to_json(monos))
-            fh.write("\n")
+            write_census_json(fh, args.n, blocks)
         else:
+            monos = census_monomials(args.n, blocks)
             fh.write("".join(m.label() + "\n" for m in monos))
             fh.write(f"total {len(monos)}\n")
     return 0

@@ -5,20 +5,23 @@ gives the census at expansion order N: a power k of at most one mixed
 generator (sigma_-1 or sigma_0) times action generators of total power t,
 with (p+q) k + 2 t <= N. The number-only monomials (the Dunham family,
 k = 0 and t >= 1, diagonal in the quantum picture) may use every action
-generator; the coupling monomials (k >= 1) use at most two. Both families
-are generated in canonical order (:meth:`GenMonomial.sort_key`), so no
-caller sorts them. The closed-form counts are proved elsewhere (see
-:mod:`polyads.counting`); here live the production enumerator, the direct
-brute-force oracles, and the couple/class/multiplicity audit layer that
-explains why the raw sums over-count and by exactly how much.
+generator; the coupling monomials (k >= 1) use at most two. The rule is a
+list of blocks (m, k, t), each family's in canonical order
+(:meth:`GenMonomial.sort_key`), so no caller sorts them. One memoised
+recursion walks the exponent vectors of a block and builds each one
+either as a tuple, for the :class:`GenMonomial` census, or as its JSON
+text, which :func:`write_census_json` streams with no monomial built. The
+closed-form counts are proved elsewhere (see :mod:`polyads.counting`);
+here live the production enumerator, the direct brute-force oracles, and
+the couple/class/multiplicity audit layer that explains why the raw sums
+over-count and by exactly how much.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from typing import Iterable, Iterator, KeysView, Literal, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, KeysView, Literal, NamedTuple, Optional, TextIO
 
 
 class _GenFields(NamedTuple):
@@ -79,19 +82,25 @@ def sort_monomials(monos: Iterable[GenMonomial]) -> list[GenMonomial]:
 
 # JSON text of each m_part
 _M_JSON = {None: "null", -1: '"-1"', 0: '"0"'}
+# what json.dumps(indent=2) puts between two action exponents of a record,
+# and after the last one up to the end of the record
+_EXP_SEP = ",\n      "
+_RECORD_TAIL = "\n    ]\n  }"
 
 
-@cache
-def _json_form(length: int) -> str:
-    """%-template of the JSON record of a monomial with ``length`` action exponents."""
-    exps = ("[\n      " + ",\n      ".join(["%s"] * length) + "\n    ]") if length else "[]"
-    return '  {\n    "m": %s,\n    "mExp": %s,\n    "numExps": ' + exps + "\n  }"
+def _record_head(m_part: Optional[int], m_exp: int) -> str:
+    """JSON text of a census record up to its first action exponent."""
+    return (f'  {{\n    "m": {_M_JSON[m_part]},\n    "mExp": {m_exp},\n'
+            f'    "numExps": [\n      ')
 
 
 def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
     """Serialize monomials, in the order given, as the JSON array text that
     ``json.dumps(records, indent=2)`` gives, without its pure-Python encoder."""
-    records = [_json_form(len(exps)) % (_M_JSON[m], k, *exps) for m, k, exps in monos]
+    records = [_record_head(m, k) + _EXP_SEP.join(map(str, exps)) + _RECORD_TAIL if exps
+               # an empty vector closes on the line it opens
+               else _record_head(m, k).rstrip() + "]\n  }"
+               for m, k, exps in monos]
     if not records:
         return "[]"
     # the brackets go into the end records, so the one join is the only copy
@@ -102,42 +111,42 @@ def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
 
 # -- enumeration -----------------------------------------------------------
 
+# One block of the census rule: the monomials m_part^m_exp times every
+# action vector of the given total with at most ``support`` nonzero entries.
+Block = tuple[Optional[int], int, int, int]
 
-def _exponent_vectors(n: int, total: int, support: int,
-                      memo: dict[tuple[int, int, int], list[tuple[int, ...]]]
-                      ) -> list[tuple[int, ...]]:
+
+def _tuple_row(e: int, rest: tuple[int, ...] = ()) -> tuple[int, ...]:
+    return (e, *rest)
+
+
+def _text_row(e: int, rest: Optional[str] = None) -> str:
+    return str(e) if rest is None else f"{e}{_EXP_SEP}{rest}"
+
+
+def _exponent_vectors(n: int, total: int, support: int, memo: dict, row: Callable) -> list:
     """Length-n vectors with the given total and at most ``support`` nonzero
-    entries, in descending lexicographic order; ``memo`` keeps each list
-    built, keyed by the arguments."""
+    entries, in descending lexicographic order. Each one is built by
+    ``row(e, rest)`` from its first entry and the row of the others, or
+    ``row(e)`` when it has one entry: _tuple_row gives tuples and _text_row
+    the exponents' JSON text. ``memo`` keeps each list built, keyed by the
+    other arguments, so one memo serves one kind of row."""
     key = (n, total, support)
-    vectors = memo.get(key)
-    if vectors is None:
+    rows = memo.get(key)
+    if rows is None:
         if n == 1:
-            vectors = [(total,)] if total == 0 or support else []
+            rows = [row(total)] if total == 0 or support else []
         else:
-            vectors = [(e, *rest) for e in range(total if support else 0, -1, -1)
-                       for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo)]
-        memo[key] = vectors
-    return vectors
+            rows = [row(e, rest) for e in range(total if support else 0, -1, -1)
+                    for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo, row)]
+        memo[key] = rows
+    return rows
 
 
-def _census(n: int, N: int, pq: int, families: tuple[Optional[int], ...]
-            ) -> KeysView[GenMonomial]:
-    """The census rule for ``families``, as an ordered set in sort_key order."""
-    memo: dict = {}
-    return dict.fromkeys(
-        GenMonomial(m, k, exps)
-        for m in families
-        for k in ((0,) if m is None else range(1, N // pq + 1))
-        for t in range(0 if k else 1, (N - pq * k) // 2 + 1)
-        for exps in _exponent_vectors(n, t, 2 if k else n, memo)
-    ).keys()
+def dunham_blocks(n: int, N: int) -> list[Block]:
+    """The number-only blocks of the census rule up to expansion order N.
 
-
-def enumerate_dunham(n: int, N: int) -> KeysView[GenMonomial]:
-    """Number-only monomials up to expansion order N, in canonical order.
-
-    Every exponent vector with 1 <= total <= E(N/2) appears, the degree-1
+    Every exponent vector with 1 <= total <= E(N/2) is in them, the degree-1
     vectors included (their coefficients are the harmonic frequencies), so
     the census size matches the Dunham coefficient count.
     """
@@ -145,11 +154,11 @@ def enumerate_dunham(n: int, N: int) -> KeysView[GenMonomial]:
         raise ValueError("need n >= 1")
     if N < 4:
         raise ValueError("need N >= 4")
-    return _census(n, N, 1, (None,))
+    return [(None, 0, t, n) for t in range(1, N // 2 + 1)]
 
 
-def enumerate_coupling(n: int, N: int, p: int, q: int) -> KeysView[GenMonomial]:
-    """Coupling monomials up to expansion order N, in canonical order.
+def coupling_blocks(n: int, N: int, p: int, q: int) -> list[Block]:
+    """The coupling blocks of the census rule up to expansion order N.
 
     For each mixed generator m in {-1, 0}: every m^k times at most two
     action generators s_i^g s_j^r with k >= 1 and (p+q) k + 2(g+r) <= N.
@@ -158,7 +167,52 @@ def enumerate_coupling(n: int, N: int, p: int, q: int) -> KeysView[GenMonomial]:
         raise ValueError("need n >= 2")
     if math.gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
-    return _census(n, N, p + q, (-1, 0))
+    pq = p + q
+    return [(m, k, t, 2) for m in (-1, 0) for k in range(1, N // pq + 1)
+            for t in range((N - pq * k) // 2 + 1)]
+
+
+def census_monomials(n: int, blocks: Iterable[Block]) -> KeysView[GenMonomial]:
+    """The monomials of ``blocks``, in block order, as an ordered set; the
+    blocks of dunham_blocks and coupling_blocks come in sort_key order."""
+    memo: dict = {}
+    return dict.fromkeys(
+        GenMonomial(m, k, exps)
+        for m, k, t, support in blocks
+        for exps in _exponent_vectors(n, t, support, memo, _tuple_row)
+    ).keys()
+
+
+def write_census_json(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
+    """Write the monomials of ``blocks`` to ``fh`` as the text of
+    ``json.dumps(records, indent=2)`` and a newline, one block at a time.
+
+    Each block is its record head and the memoised JSON texts of its
+    exponent vectors, joined in one piece; no GenMonomial is built.
+    """
+    memo: dict = {}
+    empty = True
+    for m, k, t, support in blocks:
+        rows = _exponent_vectors(n, t, support, memo, _text_row)
+        if rows:
+            head = _record_head(m, k)
+            fh.write(("[\n" if empty else ",\n") + head)
+            fh.write(f"{_RECORD_TAIL},\n{head}".join(rows))
+            fh.write(_RECORD_TAIL)
+            empty = False
+    fh.write("[]\n" if empty else "\n]\n")
+
+
+def enumerate_dunham(n: int, N: int) -> KeysView[GenMonomial]:
+    """Number-only monomials up to expansion order N, in canonical order
+    (the monomials of :func:`dunham_blocks`)."""
+    return census_monomials(n, dunham_blocks(n, N))
+
+
+def enumerate_coupling(n: int, N: int, p: int, q: int) -> KeysView[GenMonomial]:
+    """Coupling monomials up to expansion order N, in canonical order
+    (the monomials of :func:`coupling_blocks`)."""
+    return census_monomials(n, coupling_blocks(n, N, p, q))
 
 
 def brute_force_delta1(N: int, p: int, q: int) -> int:
@@ -226,22 +280,23 @@ def cumulative_multiplicity(c: CoupleC, N: int, p: int, q: int) -> int:
     return min(N - n_app + 1, p + q)
 
 
-def _couples(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[tuple]:
-    """(k', qj, gamma) of each couple of :func:`iter_couples`, gamma None for kind 2."""
+def _couple_classes(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[tuple[int, int]]:
+    """(k', qj) of each class of couples appearing at some order <= N. A
+    kind-2 class is one couple; a kind-3 class holds qj - 1, one per split
+    gamma, all with the appearance order of the class."""
     pq = p + q
     offset = 2 if kind == 2 else 4
     for kprime in range(1, max(0, (N - offset) // pq) + 1):
         for qj in range(offset // 2, (N - pq * kprime) // 2 + 1):
-            if kind == 2:
-                yield kprime, qj, None
-            else:
-                for gamma in range(1, qj):
-                    yield kprime, qj, gamma
+            yield kprime, qj
 
 
 def iter_couples(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[CoupleC]:
     """All couples of the given kind appearing at some order <= N."""
-    return (CoupleC(kind, *c) for c in _couples(N, p, q, kind))
+    if kind == 2:
+        return (CoupleC(2, kprime, qj) for kprime, qj in _couple_classes(N, p, q, 2))
+    return (CoupleC(3, kprime, qj, gamma) for kprime, qj in _couple_classes(N, p, q, 3)
+            for gamma in range(1, qj))
 
 
 def lambda_raw(N: int, p: int, q: int, kind: Literal[2, 3]) -> int:
@@ -314,7 +369,9 @@ class MultiplicityAudit:
 
 
 def audit_counting(N: int, p: int, q: int, kind: Literal[2, 3]) -> MultiplicityAudit:
-    """Tally every couple's cumulative multiplicity by direct summation.
+    """Tally every couple's cumulative multiplicity by direct summation,
+    one class of couples at a time (a kind-3 couple's multiplicity does not
+    depend on its split gamma).
 
     Not a closed form: this is the independent audit the closed-form
     theorems are checked against. Orders below the first appearance
@@ -326,18 +383,19 @@ def audit_counting(N: int, p: int, q: int, kind: Literal[2, 3]) -> MultiplicityA
     pop_rest = 0
     alpha = 0
     present = 0
-    for kprime, qj, _ in _couples(N, p, q, kind):
-        # cumulative_multiplicity of the couple; every couple has appeared by N
+    for kprime, qj in _couple_classes(N, p, q, kind):
+        size = 1 if kind == 2 else qj - 1
+        # cumulative_multiplicity of each couple in the class; all have appeared by N
         n_app = kprime * pq + 2 * qj
         mu = min(N - n_app + 1, pq)
         if N > n_app + pq - 1:
-            alpha += mu  # switch-off couple, mu saturated at p+q
+            alpha += size * mu  # switch-off couples, mu saturated at p+q
         else:
-            present += 1
+            present += size
             if kprime == kprime_top:
-                pop_top += mu
+                pop_top += size * mu
             else:
-                pop_rest += mu
+                pop_rest += size * mu
     assert alpha % pq == 0
     return MultiplicityAudit(
         N=N, p=p, q=q, kind=kind,

@@ -12,6 +12,7 @@ operator pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
@@ -360,15 +361,16 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     unless it falls below the vacuum or past the caps, where it is dropped.
     The target's box row is the source's plus the shift dotted with the
     C-order strides of the box. Ladder amplitudes are square roots of exact
-    integer products, gathered from one table per mode (_ladder_table) that
-    is 0 wherever the branch is dropped. While the product of the tables'
-    maxima stays below 2**63 the products are int64, else Python ints; the
-    cast to float rounds to nearest either way, as math.sqrt does. An
-    element [a, b], a before b in the basis, sums the raising branches from
-    a, whose shifts are lexicographically positive, before those from b,
-    whose shifts are negative. Running the positive shifts first, each
-    group in model order, therefore gives the matrix assembled state by
-    state. The block matrices are views of one buffer.
+    integer products, gathered from one table per mode (_ladder_table, built
+    once per call for each (low, high, dim)) that is 0 wherever the branch
+    is dropped. While the product of the tables' maxima stays below 2**63
+    the products are int64, else Python ints; the cast to float rounds to
+    nearest either way, as math.sqrt does. An element [a, b], a before b in
+    the basis, sums the raising branches from a, whose shifts are
+    lexicographically positive, before those from b, whose shifts are
+    negative. Running the positive shifts first, each group in model order,
+    therefore gives the matrix assembled state by state. The block matrices
+    are views of one buffer.
     """
     n = model.spec.n
     dims = [max(c, -1) + 1 for c in caps]
@@ -402,6 +404,7 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     occ = box[rows]
     strides = [math.prod(dims[k + 1:]) for k in range(n)]
     buf = np.zeros(entries)
+    ladder_table = functools.cache(_ladder_table)  # terms share tables; this call only
     terms = [t for t in model.terms if t.coeff != 0.0]
     terms.sort(key=lambda t: t.shift < (0,) * n)
     # huge coefficients overflow to inf here; the check below rejects them
@@ -413,7 +416,7 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
             if t.kind == "dunham":
                 buf[diagonal] += t.coeff * digits
                 continue
-            tables = [(k, _ladder_table(low, high, dims[k]))
+            tables = [(k, ladder_table(low, high, dims[k]))
                       for k, (low, high) in enumerate(zip(t.lower_exps, t.raise_exps))
                       if low or high]
             dtype = np.int64 if math.prod(max(tab) for _, tab in tables) < 2 ** 63 else object

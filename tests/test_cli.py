@@ -204,6 +204,12 @@ class TestEnumerateCommand:
         assert out1 == out2
 
     @pytest.mark.parametrize("sizes,fmt,digest", [
+        (("6", "1", "1", "30"), "json",
+         "00bd4fd49a4a84af7af8da23495cf43199df7e5b78df134dd9b2f95199b94ceb"),
+        (("6", "2", "1", "30"), "json",
+         "ea278bc119d5e1d70bb02a6bc04d0f2d9aa0438d499bb06ad2811af9fe72486d"),
+        (("6", "3", "1", "30"), "json",
+         "4851c09bc8d50798d46b4b8012290d5999e2ca43a2feee3dabb6a05ce9440065"),
         (("6", "3", "2", "30"), "json",
          "08f54aa9dc30165149eb87dd49debab4f2eed8b21f3204fe5dd8f6b66f980ba8"),
         (("6", "3", "2", "30"), "table",
@@ -212,16 +218,40 @@ class TestEnumerateCommand:
          "c6bc819e308da82b3e4fa6cc6e854105ff7df454c020acbbd0042ed6800db3b8"),
         (("3", "2", "1", "12"), "table",
          "6d5c37490b85c3a0fdcc7b0df72dc456b5ed3712c3101596aabb76df5a0abb41"),
-    ], ids=["6-3:2-30-json", "6-3:2-30-table", "3-2:1-12-json", "3-2:1-12-table"])
+    ], ids=["6-1:1-30-json", "6-2:1-30-json", "6-3:1-30-json", "6-3:2-30-json",
+            "6-3:2-30-table", "3-2:1-12-json", "3-2:1-12-table"])
     def test_output_digest_pinned(self, capsys, tmp_path, sizes, fmt, digest):
-        # digests taken while the census was still collected in a set and
-        # sorted by GenMonomial.sort_key
+        # the 3:2 order-30 and the 2:1 order-12 digests were taken while the
+        # census was still collected in a set and sorted by
+        # GenMonomial.sort_key; the other order-30 ones while every record of
+        # the JSON census was still built from a GenMonomial
         n, p, q, order = sizes
         out_file = tmp_path / "census.out"
         code, out, _ = run(capsys, "enumerate", "--n", n, "--p", p, "--q", q,
                            "--order", order, "--format", fmt, "--out", str(out_file))
         assert (code, out) == (0, "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+    def test_json_builds_no_monomial(self, capsys, monkeypatch):
+        from polyads.monomials import GenMonomial
+
+        def refuse(cls, *fields):
+            raise AssertionError("GenMonomial built")
+
+        args = ("enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "12")
+        _, table, _ = run(capsys, *args)
+        monkeypatch.setattr(GenMonomial, "__new__", refuse)
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == int(table.split()[-1])
+        with pytest.raises(AssertionError, match="GenMonomial built"):
+            run(capsys, *args)  # the guard bites where monomials are built
+
+    def test_empty_coupling_census_is_an_empty_array(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--kind", "coupling", "--n", "2",
+                           "--p", "5", "--q", "2", "--order", "6", "--format", "json")
+        assert (code, out) == (0, "[]\n")
 
 
 class TestVerifyTablesCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 
@@ -17,7 +18,10 @@ from polyads.monomials import (
     audit_counting,
     brute_force_delta1,
     brute_force_delta2,
+    census_monomials,
+    coupling_blocks,
     cumulative_multiplicity,
+    dunham_blocks,
     enumerate_coupling,
     enumerate_dunham,
     iter_couples,
@@ -25,6 +29,7 @@ from polyads.monomials import (
     lambda_raw_direct,
     monomials_to_json,
     sort_monomials,
+    write_census_json,
 )
 
 st_pq = st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3),
@@ -207,6 +212,45 @@ class TestJsonWriter:
         text = monomials_to_json([GenMonomial(None, 0, ())])
         assert text == json_oracle([GenMonomial(None, 0, ())])
         assert '    "numExps": []\n' in text
+
+
+def census_json(n, blocks):
+    fh = io.StringIO()
+    write_census_json(fh, n, blocks)
+    return fh.getvalue()
+
+
+class TestCensusJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
+           n=st.integers(1, 5), N=st.integers(4, 20), pq=st_pq)
+    def test_matches_stdlib_encoder_of_the_census(self, kind, n, N, pq):
+        p, q = pq
+        if kind != "dunham" and n < 2:
+            with pytest.raises(ValueError):
+                coupling_blocks(n, N, p, q)
+            return
+        blocks, monos = [], []
+        if kind != "coupling":
+            blocks += dunham_blocks(n, N)
+            monos += enumerate_dunham(n, N)
+        if kind != "dunham":
+            blocks += coupling_blocks(n, N, p, q)
+            monos += enumerate_coupling(n, N, p, q)
+        assert list(census_monomials(n, blocks)) == monos
+        assert census_json(n, blocks) == json_oracle(monos) + "\n"
+
+    def test_empty_coupling_census(self):
+        # p + q = 9 is past the order: no coupling monomial fits
+        blocks = coupling_blocks(3, 8, 7, 2)
+        assert blocks == [] and not enumerate_coupling(3, 8, 7, 2)
+        assert census_json(3, blocks) == json_oracle([]) + "\n" == "[]\n"
+
+    def test_blocks_without_vectors_write_nothing(self):
+        # a block of positive total and support 0 holds no vector
+        text = census_json(1, [(-1, 1, 2, 0), (0, 2, 0, 0), (-1, 1, 2, 1)])
+        monos = [GenMonomial(0, 2, (0,)), GenMonomial(-1, 1, (2,))]
+        assert text == json_oracle(monos) + "\n"
 
 
 class TestBruteForce:

@@ -780,6 +780,19 @@ class TestBuildBlockOracle:
         with pytest.raises(ValueError, match="ladder amplitude past the float range"):
             build_block(model, (146,), (146, 73))
 
+    def test_ladder_tables_built_once_per_call_and_key(self, monkeypatch):
+        # the spectrum-2mode shape: 29 off-diagonal terms over two ladder
+        # modes share 8 distinct (low, high, dim) tables
+        calls = []
+        real = quantum._ladder_table
+        monkeypatch.setattr(quantum, "_ladder_table",
+                            lambda *key: calls.append(key) or real(*key))
+        model = _seeded_model(SPEC21_2, 12, seed=5)
+        spectrum(model, 160, 0)
+        assert len(calls) == len(set(calls)) == 8
+        spectrum(model, 160, 0)
+        assert len(calls) == 16  # the tables live for one call only
+
     def test_empty_lattice_is_one_block(self):
         m = _seeded_model(ResonanceSpec(n=2, p=1, q=1), 4, seed=3)
         block = build_block(m, (), (2, 3), lattice=[])
