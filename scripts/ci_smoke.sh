@@ -30,6 +30,11 @@ for size in "--n 3 --p 2 --q 1 --order 12" "--n 6 --p 3 --q 2 --order 30"; do
     python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/census.json" > "$TMP/census_stdlib.json"
     cmp "$TMP/census.json" "$TMP/census_stdlib.json"
 done
+# the frozen reference tables regenerate cell for cell
+python -m polyads verify-tables | tail -n 1 | grep -qx "all tables verified"
+# the audit at the benchmark's size recovers the brute-force 3-monomial count
+python -m polyads audit --order 220 --p 3 --q 2 --kind 3 --format json |
+    python -c 'import json, sys; from polyads.monomials import brute_force_delta2; assert json.load(sys.stdin)["delta"] == brute_force_delta2(220, 3, 2)'
 # a coupling census with no monomial is an empty array
 test "$(python -m polyads enumerate --kind coupling --n 2 --p 5 --q 2 --order 6 --format json)" = "[]"
 # so is the streamed spectrum JSON

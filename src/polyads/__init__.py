@@ -1,6 +1,7 @@
 """Operator census and quantum assembly for p:q resonance Hamiltonians.
 
-The package splits along the natural fault lines of the problem: exact
+The package splits along the natural fault lines of the problem: the
+problem sizes of one resonant system (:mod:`polyads.spec`), exact
 polynomial algebra over the oscillator variables (:mod:`polyads.zpoly`),
 the invariant generators with their bracket relations and reduced phase
 space (:mod:`polyads.resonance`), the monomial census with its brute-force
@@ -32,9 +33,10 @@ _HOME = {
         "quantum": ("FockState", "HamiltonianModel", "PolyadBlock", "TermSpec", "apply_term",
                     "build_block", "census_terms", "cloh_model", "conserved_lattice",
                     "coupling_term", "dunham_energy", "polyad_lattice", "spectrum"),
-        "resonance": ("GeneratorSet", "PhaseCurvePoint", "ResonanceSpec", "ad_h0", "flow_h0",
-                      "generators", "h0_polynomial", "phase_curve", "syzygy_residual",
+        "resonance": ("GeneratorSet", "PhaseCurvePoint", "ad_h0", "flow_h0", "generators",
+                      "h0_polynomial", "phase_curve", "syzygy_residual",
                       "verify_bracket_table"),
+        "spec": ("ResonanceSpec",),
         "zpoly": ("ComplexRational", "ZMonomial", "ZPolynomial", "poisson_bracket"),
     }.items()
     for name in names

@@ -15,7 +15,6 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import asdict
 from typing import Iterator, Optional, Sequence, TextIO
 
 _HEADER_KEYS = ("n", "p", "q", "order")
@@ -78,7 +77,7 @@ def _parse_value(token: str, line_no: int) -> float:
 def _header_spec(header: dict[str, tuple[int, int]], line_no: int, missing_msg: str
                  ) -> tuple["ResonanceSpec", int]:
     """Spec and order from header keys mapped to (value, line), else ModelFileError."""
-    from .resonance import ResonanceSpec
+    from .spec import ResonanceSpec
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -305,7 +304,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .monomials import audit_counting
 
-    data = asdict(audit_counting(args.order, args.p, args.q, args.kind))
+    data = audit_counting(args.order, args.p, args.q, args.kind)._asdict()
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
     else:

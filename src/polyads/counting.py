@@ -2,16 +2,15 @@
 
 The deduplicated 2- and 3-monomial counts per sum depend only on N and p+q
 and split into parity cases; the totals then follow from the census sizes.
-Formulas are evaluated in exact rational arithmetic with an integrality
-assertion, because several intermediates (the /4, /16 and /48 pieces) are
-not termwise integral.
+Several pieces of the formulas (the /2, /4, /8, /16 and /48 ones) are not
+termwise integral, so each count sums integer numerators over one common
+denominator and asserts that the division is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 
 def _decompose(N: int, pq: int, offset: int) -> tuple[int, int]:
@@ -21,9 +20,10 @@ def _decompose(N: int, pq: int, offset: int) -> tuple[int, int]:
     return kprime, i
 
 
-def _as_int(x: Fraction) -> int:
-    assert x.denominator == 1, f"non-integer count {x}"
-    return int(x)
+def _as_int(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    assert rem == 0, f"non-integer count {num}/{den}"
+    return quot
 
 
 def delta1_closed(N: int, p: int, q: int) -> int:
@@ -33,16 +33,16 @@ def delta1_closed(N: int, p: int, q: int) -> int:
     pq = p + q
     if N < pq + 2:
         return 0
-    kprime, i = _decompose(N, pq, 2)
-    k = Fraction(kprime)
-    half_i = Fraction(i // 2)
+    k, i = _decompose(N, pq, 2)
+    half_i = i // 2
+    # numerators over the common denominator 4
     if pq % 2 == 0:
-        val = k * (1 + half_i + (k - 1) * pq / Fraction(4))
-    elif kprime % 2 == 0:
-        val = k * ((k - 1) * pq + 2 * i + 3) / Fraction(4)
+        num = k * (4 * (1 + half_i) + (k - 1) * pq)
+    elif k % 2 == 0:
+        num = k * ((k - 1) * pq + 2 * i + 3)
     else:
-        val = 1 + half_i + (k - 1) * (k * pq + 2 * i + 3) / Fraction(4)
-    return _as_int(val)
+        num = 4 * (1 + half_i) + (k - 1) * (k * pq + 2 * i + 3)
+    return _as_int(num, 4)
 
 
 def delta2_closed(N: int, p: int, q: int) -> int:
@@ -52,23 +52,23 @@ def delta2_closed(N: int, p: int, q: int) -> int:
     pq = p + q
     if N < pq + 4:
         return 0
-    kprime, i = _decompose(N, pq, 4)
-    k = Fraction(kprime)
-    e_half = Fraction(i // 2)
-    eps = i - 2 * (i // 2)
-    head = (e_half + 1) * (e_half + 2) / Fraction(2)
-    mid = (k - 1) * (i * (i + 6) - 4 * eps * e_half - 7 * eps + 8) / Fraction(8)
+    k, i = _decompose(N, pq, 4)
+    e_half = i // 2
+    eps = i - 2 * e_half
+    # numerators over the common denominator 48: the /2 head, the /8 middle,
+    # the /48 bulk and, for odd p+q, the /16 tail
+    head = 24 * (e_half + 1) * (e_half + 2)
+    mid = 6 * (k - 1) * (i * (i + 6) - 4 * eps * e_half - 7 * eps + 8)
     if pq % 2 == 0:
-        bulk = k * (k - 1) * pq * ((2 * k - 1) * pq + 6 * (i + 3 - eps)) / Fraction(48)
-        val = head + bulk + mid
+        bulk = k * (k - 1) * pq * ((2 * k - 1) * pq + 6 * (i + 3 - eps))
+        tail = 0
     else:
-        bulk = k * (k - 1) * pq * ((2 * k - 1) * pq + 3 * (2 * i + 5)) / Fraction(48)
-        if kprime % 2 == 0:
-            tail = k * (2 * eps - 1) * (4 * e_half + pq + 5 + 2 * eps) / Fraction(16)
+        bulk = k * (k - 1) * pq * ((2 * k - 1) * pq + 3 * (2 * i + 5))
+        if k % 2 == 0:
+            tail = 3 * k * (2 * eps - 1) * (4 * e_half + pq + 5 + 2 * eps)
         else:
-            tail = (k - 1) * (2 * eps - 1) * (4 * e_half - pq + 5 + 2 * eps) / Fraction(16)
-        val = head + bulk + mid + tail
-    return _as_int(val)
+            tail = 3 * (k - 1) * (2 * eps - 1) * (4 * e_half - pq + 5 + 2 * eps)
+    return _as_int(head + bulk + mid + tail, 48)
 
 
 def lambda_dunham(n: int, N: int) -> int:
@@ -78,8 +78,7 @@ def lambda_dunham(n: int, N: int) -> int:
                for l in range(1, min(n, q0) + 1))
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """All counting outputs for one (n, N, p, q)."""
 
     n: int

@@ -20,7 +20,6 @@ over-count and by exactly how much.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, KeysView, Literal, NamedTuple, Optional, TextIO
 
 
@@ -238,30 +237,40 @@ def brute_force_delta2(N: int, p: int, q: int) -> int:
 # -- audit layer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoupleC:
+class _CoupleFields(NamedTuple):
+    kind: Literal[2, 3]
+    kprime: int
+    qj: int
+    gamma: Optional[int]
+
+
+class CoupleC(_CoupleFields):
     """Exponent bookkeeping unit of the order-by-order sums.
 
     2-couples are (class index k', q2); 3-couples carry in addition the
     split gamma of q3 into the two action exponents, each split being its
-    own couple in the population sums.
+    own couple in the population sums. A named tuple that validates on
+    every construction, as :class:`GenMonomial` does.
     """
 
-    kind: Literal[2, 3]
-    kprime: int
-    qj: int
-    gamma: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (2, 3):
+    def __new__(cls, kind: Literal[2, 3], kprime: int, qj: int, gamma: Optional[int] = None):
+        if kind not in (2, 3):
             raise ValueError("kind is 2 or 3")
-        if self.kprime < 1 or self.qj < 1:
+        if kprime < 1 or qj < 1:
             raise ValueError("class index and exponent are positive")
-        if self.kind == 3:
-            if self.gamma is None or not (1 <= self.gamma < self.qj):
+        if kind == 3:
+            if gamma is None or not (1 <= gamma < qj):
                 raise ValueError("3-couples need 1 <= gamma < qj")
-        elif self.gamma is not None:
+        elif gamma is not None:
             raise ValueError("2-couples carry no gamma")
+        return tuple.__new__(cls, (kind, kprime, qj, gamma))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "CoupleC":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def appearance_order(self, p: int, q: int) -> int:
         return self.kprime * (p + q) + 2 * self.qj
@@ -343,8 +352,7 @@ def lambda_raw_direct(N: int, p: int, q: int, kind: Literal[2, 3]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class MultiplicityAudit:
+class MultiplicityAudit(NamedTuple):
     """Populations of the couple classes at order N.
 
     ``pop_class_kprime`` and ``pop_other_classes`` sum cumulative

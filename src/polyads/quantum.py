@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .resonance import ResonanceSpec
+from .spec import ResonanceSpec
 
 FockState = tuple[int, ...]
 

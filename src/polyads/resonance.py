@@ -1,10 +1,12 @@
-"""Resonance specification, invariant generators and the reduced phase space.
+"""Invariant generators, their bracket relations and the reduced phase space.
 
 The p:q resonance between oscillators 1 and 2 singles out n+2 monomials that
 generate the invariants of the harmonic flow: two mixed monomials exchanging
 quanta between the resonant pair and the n action monomials z_k z_k*. This
 module builds them, checks the bracket algebra and the defining relation that
 ties them together, and samples the reduced-phase-space curve.
+:class:`ResonanceSpec` lives in :mod:`polyads.spec`, which loads no exact
+algebra, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,46 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO
 
+from .spec import ResonanceSpec
 from .zpoly import (
     CR_MINUS_I,
     ComplexRational,
     ZPolynomial,
     poisson_bracket,
 )
-
-
-@dataclass(frozen=True)
-class ResonanceSpec:
-    """Problem sizes for one p:q resonant system.
-
-    The frequencies follow from (p, q): see ``exact_omegas``.
-    """
-
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2 oscillators")
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be positive")
-        if self.q > self.p:
-            raise ValueError("expected p >= q")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError("p and q must be coprime")
-
-    def exact_omegas(self) -> tuple[Fraction, ...]:
-        """Pairwise-distinct exact frequencies with the right ratio.
-
-        w1 = q and w2 = p satisfy w2/w1 = p/q; the remaining modes get
-        p+q+k-2, which cannot collide with w1, w2 or each other.
-        """
-        rest = (Fraction(self.p + self.q + k - 2) for k in range(3, self.n + 1))
-        return (Fraction(self.q), Fraction(self.p), *rest)
-
-    def float_omegas(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.exact_omegas())
 
 
 @dataclass(frozen=True)

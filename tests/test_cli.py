@@ -158,6 +158,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def digest_of(capsys, tmp_path, *argv):
+    """SHA-256 of what a successful ``argv`` writes to its --out file."""
+    out_file = tmp_path / "command.out"
+    code, out, _ = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (0, "")
+    return hashlib.sha256(out_file.read_bytes()).hexdigest()
+
+
 class TestCountCommand:
     def test_table_output(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "3", "--p", "2", "--q", "1",
@@ -173,6 +181,23 @@ class TestCountCommand:
         assert code == 0
         data = json.loads(out)
         assert (data["n_coef"], data["n_op"], data["n_c"]) == (55, 90, 70)
+
+    # digests taken while CountReport was a dataclass and the closed forms
+    # were evaluated in Fraction arithmetic
+    @pytest.mark.parametrize("sizes,fmt,digest", [
+        (("6", "3", "2", "30"), "json",
+         "cd4021209f737021115e1eab7bb08b599424dea959b0e9704d8613973fb40b06"),
+        (("6", "3", "2", "30"), "table",
+         "e0d66bad292948f3d7a6bdb2c0a6919bc94e93cc515d08089a4a70a12315b86a"),
+        (("3", "2", "1", "220"), "json",
+         "541aca0746fc333cb48d1f201cea58948fdd1cac12341d542ebd0c846ebfeaf0"),
+        (("3", "2", "1", "220"), "table",
+         "960c432035059f5eb6e1735426a58a55ded2e4bac92948d3d464c1aca6c19f9c"),
+    ], ids=["6-3:2-30-json", "6-3:2-30-table", "3-2:1-220-json", "3-2:1-220-table"])
+    def test_output_digest_pinned(self, capsys, tmp_path, sizes, fmt, digest):
+        n, p, q, order = sizes
+        assert digest_of(capsys, tmp_path, "count", "--n", n, "--p", p, "--q", q,
+                         "--order", order, "--format", fmt) == digest
 
     def test_common_factor_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--p", "4", "--q", "2",
@@ -279,6 +304,14 @@ class TestVerifyTablesCommand:
         assert data["cells"] == 124
         assert data["failures"] == []
 
+    # digests taken while the closed forms were evaluated in Fraction arithmetic
+    @pytest.mark.parametrize("fmt,digest", [
+        ("json", "e8b04e40be0f28a857e28cd48a09f4b94bc1150325e83651de0fedb59ae1aca6"),
+        ("table", "6745326f34c4a511b9c69ce78ba4e3f66adfb5286c8914aba73c81ed07907b24"),
+    ])
+    def test_output_digest_pinned(self, capsys, tmp_path, fmt, digest):
+        assert digest_of(capsys, tmp_path, "verify-tables", "--format", fmt) == digest
+
 
 class TestAuditCommand:
     def test_fields_present(self, capsys):
@@ -305,6 +338,17 @@ class TestAuditCommand:
                            "--kind", "3", "--format", "json", "--out", str(out_file))
         assert (code, out) == (0, "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    # digests taken while MultiplicityAudit was a dataclass written out with
+    # dataclasses.asdict; the kind-3 JSON one is pinned above
+    @pytest.mark.parametrize("kind,fmt,digest", [
+        ("2", "json", "b7e39319ce7c5e661ae5b06a00aa1482f172a7a94d9d3b2d9d95fe6fec7dba8b"),
+        ("2", "table", "8a79eab5f27ef7437ad5061fce9d49e0863028bdd310d5bc4bdb2f013907070c"),
+        ("3", "table", "197fd9746e7714161320afa0ec5b756a77090471ae50014d3c6dad54af096709"),
+    ], ids=["kind2-json", "kind2-table", "kind3-table"])
+    def test_bench_size_digest_pinned(self, capsys, tmp_path, kind, fmt, digest):
+        assert digest_of(capsys, tmp_path, "audit", "--order", "220", "--p", "3", "--q", "2",
+                         "--kind", kind, "--format", fmt) == digest
 
 
 class TestSpectrumCommand:
@@ -511,6 +555,12 @@ def imports_of(argv: list[str]) -> set[str]:
             if line.startswith("import time:")}
 
 
+@pytest.fixture(scope="module")
+def bare_imports() -> set[str]:
+    """Modules that a bare interpreter imports before running any code."""
+    return imports_of(["-c", "pass"])
+
+
 class TestPackaging:
     def test_module_entry_point(self):
         import subprocess
@@ -551,6 +601,24 @@ class TestPackaging:
         assert used in imported
         assert not imported & unused
 
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["--help"], {"dataclasses", "fractions"}),
+        (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
+         {"dataclasses", "fractions"}),
+        (["verify-tables"], {"dataclasses", "fractions"}),
+        (["enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
+         {"dataclasses", "fractions"}),
+        (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],
+         {"dataclasses", "fractions"}),
+        (["spectrum", "--model", str(FIXTURE), "--pmax", "4"],
+         {"polyads.resonance", "polyads.zpoly", "fractions"}),
+    ], ids=["help", "count", "verify-tables", "enumerate", "audit", "spectrum"])
+    def test_start_up_leaves_unused_modules_unloaded(self, bare_imports, argv, unloaded):
+        # modules that site loads on some machines are not the package's doing
+        imported = imports_of(["-m", "polyads", *argv]) - bare_imports
+        assert "polyads.cli" in imported
+        assert not imported & unloaded
+
     def test_spectrum_leaves_the_census_unloaded(self):
         imported = imports_of(["-m", "polyads", "spectrum", "--model", str(FIXTURE),
                                "--pmax", "4"])
@@ -567,14 +635,15 @@ class TestPackaging:
             polyads.no_such_name
 
     def test_every_public_name_is_its_home_module_object(self):
-        from polyads import counting, monomials, quantum, resonance, zpoly
+        from polyads import counting, monomials, quantum, resonance, spec, zpoly
 
         assert polyads.totals is counting.totals
         assert polyads.GenMonomial is monomials.GenMonomial
         assert polyads.spectrum is quantum.spectrum
+        assert polyads.ResonanceSpec is spec.ResonanceSpec
         assert polyads.ResonanceSpec is resonance.ResonanceSpec
         assert polyads.ZPolynomial is zpoly.ZPolynomial
-        modules = (counting, monomials, quantum, resonance, zpoly)
+        modules = (counting, monomials, quantum, resonance, spec, zpoly)
         for name in polyads.__all__:
             if name != "__version__":
                 assert any(vars(m).get(name) is getattr(polyads, name) for m in modules), name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,49 @@ st_coprime = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
     lambda pq: math.gcd(*pq) == 1)
 
 
+def delta1_fraction(N, p, q):
+    """The delta1 closed form as first written, in Fraction arithmetic."""
+    pq = p + q
+    if N < pq + 2:
+        return 0
+    k = Fraction((N - 2) // pq)
+    i = (N - 2) % pq
+    half_i = Fraction(i // 2)
+    if pq % 2 == 0:
+        val = k * (1 + half_i + (k - 1) * pq / Fraction(4))
+    elif k % 2 == 0:
+        val = k * ((k - 1) * pq + 2 * i + 3) / Fraction(4)
+    else:
+        val = 1 + half_i + (k - 1) * (k * pq + 2 * i + 3) / Fraction(4)
+    assert val.denominator == 1
+    return int(val)
+
+
+def delta2_fraction(N, p, q):
+    """The delta2 closed form as first written, in Fraction arithmetic."""
+    pq = p + q
+    if N < pq + 4:
+        return 0
+    k = Fraction((N - 4) // pq)
+    i = (N - 4) % pq
+    e_half = Fraction(i // 2)
+    eps = i - 2 * (i // 2)
+    head = (e_half + 1) * (e_half + 2) / Fraction(2)
+    mid = (k - 1) * (i * (i + 6) - 4 * eps * e_half - 7 * eps + 8) / Fraction(8)
+    if pq % 2 == 0:
+        bulk = k * (k - 1) * pq * ((2 * k - 1) * pq + 6 * (i + 3 - eps)) / Fraction(48)
+        val = head + bulk + mid
+    else:
+        bulk = k * (k - 1) * pq * ((2 * k - 1) * pq + 3 * (2 * i + 5)) / Fraction(48)
+        if k % 2 == 0:
+            tail = k * (2 * eps - 1) * (4 * e_half + pq + 5 + 2 * eps) / Fraction(16)
+        else:
+            tail = (k - 1) * (2 * eps - 1) * (4 * e_half - pq + 5 + 2 * eps) / Fraction(16)
+        val = head + bulk + mid + tail
+    assert val.denominator == 1
+    return int(val)
+
+
 class TestClosedForms:
     @settings(max_examples=200, deadline=None)
     @given(N=st.integers(0, 40), pq=st_coprime)
@@ -37,6 +81,15 @@ class TestClosedForms:
     def test_delta2_equals_brute_force(self, N, pq):
         p, q = pq
         assert delta2_closed(N, p, q) == brute_force_delta2(N, p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(N=st.integers(0, 400),
+           pq=st.tuples(st.integers(1, 14), st.integers(1, 14)).filter(
+               lambda pq: sum(pq) <= 15 and math.gcd(*pq) == 1))
+    def test_integer_forms_equal_fraction_forms(self, N, pq):
+        p, q = pq
+        assert delta1_closed(N, p, q) == delta1_fraction(N, p, q)
+        assert delta2_closed(N, p, q) == delta2_fraction(N, p, q)
 
     def test_depends_only_on_resonance_order(self):
         for N in range(4, 20):
@@ -65,7 +118,7 @@ class TestClosedForms:
             totals(2, 10, 6, 3)
 
     def test_integrality_discharged_over_wide_sweep(self):
-        # the Fraction intermediates must always collapse to ints >= 0
+        # every numerator must divide exactly, to an int >= 0
         for N in range(0, 41):
             for p in range(1, 9):
                 for q in range(1, p + 1):

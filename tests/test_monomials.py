@@ -287,6 +287,32 @@ class TestCouples:
         with pytest.raises(ValueError):
             CoupleC(3, 1, 2)
 
+    @pytest.mark.parametrize("fields", [
+        (4, 1, 1, None), (2, 0, 1, None), (2, 1, 0, None), (2, 1, 1, 1),
+        (3, 1, 2, 2), (3, 1, 2, 0), (3, 1, 2, None),
+    ])
+    def test_make_validates(self, fields):
+        with pytest.raises(ValueError):
+            CoupleC._make(fields)
+
+    @pytest.mark.parametrize("start,change", [
+        (CoupleC(2, 1, 1), {"kind": 4}),
+        (CoupleC(2, 1, 1), {"kprime": 0}),
+        (CoupleC(2, 1, 1), {"gamma": 1}),
+        (CoupleC(3, 1, 3, 2), {"qj": 2}),
+        (CoupleC(3, 1, 3, 2), {"gamma": None}),
+        (CoupleC(3, 1, 3, 2), {"kind": 2}),
+    ])
+    def test_replace_validates(self, start, change):
+        with pytest.raises(ValueError):
+            start._replace(**change)
+
+    def test_valid_couples_round_trip(self):
+        c = CoupleC(3, 2, 4, 3)
+        assert CoupleC._make(c) == c == (3, 2, 4, 3)
+        assert c._replace(gamma=1) == CoupleC(3, 2, 4, 1)
+        assert CoupleC(2, 1, 1).gamma is None
+
     def test_multiplicity_window(self):
         c = CoupleC(2, 1, 1)
         p, q = 2, 1
