@@ -49,6 +49,10 @@ expect_usage_error python -m polyads spectrum --model "$MODEL" --pmax 1500
 # an unwritable --out and an oversized sample count exit 2
 expect_usage_error python -m polyads spectrum --model "$MODEL" --pmax 4 --out /nonexistent/x
 expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1.5 --samples 1000000000
+# non-finite or overflowing phase-space curves and a negative order exit 2
+expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 nan
+expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1e200
+expect_usage_error python -m polyads count --n 3 --p 2 --q 1 --order -1
 # a header n too large to index a vector exits 2 before any term is built
 printf 'n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n' > "$TMP/huge_n.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax 4
@@ -63,6 +67,15 @@ for p, q in ((1, 1), (2, 1), (3, 1), (3, 2)):
     assert all(entry.ok for entry in verify_bracket_table(spec)), (p, q)
     assert syzygy_residual(spec).is_zero(), (p, q)
     assert ad_h0(gens[-1] * gens[0] ** 2 * gens[3], spec).is_zero(), (p, q)
+assert "sympy" not in sys.modules
+'
+# the worked model is read from the shipped file: 86 slots, 31 of them
+# off-diagonal, 28 nonzero
+python -c '
+import sys
+from polyads.quantum import cloh_model
+m = cloh_model()
+assert (m.slot_count(), len(m.off_diagonal_terms()), m.nonzero_count()) == (86, 31, 28)
 assert "sympy" not in sys.modules
 '
 # the shipped model survives parse and serialize byte for byte, comments aside

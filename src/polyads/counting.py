@@ -111,6 +111,8 @@ def totals(n: int, N: int, p: int, q: int) -> CountReport:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if N < 0:
+        raise ValueError("need N >= 0")
     if math.gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
     pq = p + q

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
 
 import numpy as np
@@ -522,35 +523,6 @@ def write_spectrum_json(out: TextIO, rows: Iterable[tuple[int, int, int, float]]
 
 # -- the worked model ------------------------------------------------------
 
-# Fitted coefficient values for the worked three-mode 2:1 model, keyed by
-# number-string exponents (diagonal slots) and by (ladder power, exponents)
-# (coupling slots). Absent slots are zero. Texts are kept verbatim so the
-# shipped model file round-trips.
-
-_CLOH_DUNHAM_TEXT: dict[tuple[int, int, int], str] = {
-    (1, 0, 0): "753.834", (0, 1, 0): "1258.914", (0, 0, 1): "3777.067",
-    (2, 0, 0): "-7.123", (0, 2, 0): "3.204", (0, 0, 2): "-80.277",
-    (1, 1, 0): "-10.637", (0, 1, 1): "-19.985",
-    (3, 0, 0): "0.0825", (0, 0, 3): "-0.3619",
-    (1, 2, 0): "-0.2503", (1, 0, 2): "-0.0532", (0, 1, 2): "-1.9534",
-    (2, 1, 0): "-0.0802",
-    (4, 0, 0): "-0.00171", (0, 4, 0): "-0.04117",
-    (0, 2, 2): "-0.15070",
-    (1, 3, 0): "-0.01229", (0, 1, 3): "0.13189",
-    (1, 1, 2): "0.02381",
-    (0, 5, 0): "0.00151",
-    (0, 2, 3): "-0.00066",
-}
-
-_CLOH_COUPLING_TEXT: dict[tuple[int, tuple[int, int, int]], str] = {
-    (1, (1, 0, 0)): "-0.24939", (1, (0, 0, 1)): "-0.76017",
-    (1, (2, 0, 0)): "0.00583", (1, (0, 0, 2)): "-0.01158",
-    (1, (1, 1, 0)): "0.04075",
-}
-
-_CLOH_EXTRA = (((0, 0, 1), (0, 3, 0)), "0.19520")
-
-
 def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
     """Every coefficient slot of the order-N census, all zero.
 
@@ -577,13 +549,6 @@ def cloh_model() -> HamiltonianModel:
     10 census (zeros included) plus one explicit 3:1 ladder pair between
     modes 2 and 3, written in self-adjoint form. 28 of them are nonzero.
     """
-    spec = ResonanceSpec(n=3, p=2, q=1)
-    terms: list[TermSpec] = []
-    for slot in census_terms(spec, 10):
-        m = slot.raise_exps[0] // spec.p
-        text = (_CLOH_COUPLING_TEXT.get((m, slot.num_exps), "0") if m
-                else _CLOH_DUNHAM_TEXT.get(slot.num_exps, "0"))
-        terms.append(replace(slot, coeff=float(text), coeff_text=text))
-    (raise_v, lower_v), text = _CLOH_EXTRA
-    terms.append(TermSpec("extra", raise_v, lower_v, (0, 0, 0), float(text), text))
-    return HamiltonianModel(spec=spec, order=10, terms=tuple(terms))
+    from .cli import parse_model_file
+
+    return parse_model_file(str(Path(__file__).with_name("data") / "cloh.model"))

@@ -107,37 +107,29 @@ class BracketCheck:
         return self.expected == self.computed
 
 
-def expected_bracket(gens: GeneratorSet, j: int, k: int) -> ZPolynomial:
-    """Closed form for {sigma_j, sigma_k}, zero for all unlisted pairs."""
-    p, q, n = gens.p, gens.q, gens.n
-    i_ = ComplexRational.of(0, 1)
+def verify_bracket_table(spec: ResonanceSpec) -> list[BracketCheck]:
+    """Compute every generator pair bracket and compare to the closed forms.
+
+    Pairs run in id order, so each listed pair has its lower id first; the
+    closed form of every unlisted pair is zero.
+    """
+    gens = generators(spec)
+    p, q = spec.p, spec.q
     table: dict[tuple[int, int], ZPolynomial] = {
         (-1, 1): gens[-1] * ComplexRational.of(0, p),
         (-1, 2): gens[-1] * ComplexRational.of(0, -q),
         (0, 1): gens[0] * ComplexRational.of(0, -p),
         (0, 2): gens[0] * ComplexRational.of(0, q),
         (-1, 0): (gens[1] ** (p - 1)) * (gens[2] ** (q - 1))
-                 * (gens[2] * (p * p) - gens[1] * (q * q)) * i_,
+                 * (gens[2] * (p * p) - gens[1] * (q * q)) * ComplexRational.of(0, 1),
     }
-    if (j, k) in table:
-        return table[(j, k)]
-    if (k, j) in table:
-        return -table[(k, j)]
-    return ZPolynomial.zero(n)
-
-
-def verify_bracket_table(spec: ResonanceSpec) -> list[BracketCheck]:
-    """Compute every generator pair bracket and compare to the closed forms."""
-    gens = generators(spec)
+    zero = ZPolynomial.zero(spec.n)
     ids = gens.ids()
     out = []
     for idx, j in enumerate(ids):
         for k in ids[idx + 1:]:
-            out.append(BracketCheck(
-                pair=(j, k),
-                expected=expected_bracket(gens, j, k),
-                computed=poisson_bracket(gens[j], gens[k]),
-            ))
+            out.append(BracketCheck(pair=(j, k), expected=table.get((j, k), zero),
+                                    computed=poisson_bracket(gens[j], gens[k])))
     return out
 
 
@@ -200,13 +192,17 @@ def phase_curve(spec: ResonanceSpec, h0: float,
     Raises
     ------
     ValueError
-        If h0 is too small for a nonempty admissible interval, or fewer
-        than 2 or more than MAX_SAMPLES samples are requested.
+        If h0 is too small for a nonempty admissible interval, h0 or a
+        fixed action is not finite, a sample's right-hand side overflows a
+        float, or fewer than 2 or more than MAX_SAMPLES samples are
+        requested.
     """
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 2 and {MAX_SAMPLES} samples")
     if len(fixed_sigma) != max(spec.n - 2, 0):
         raise ValueError("fixed_sigma must cover modes 3..n")
+    if not all(map(math.isfinite, (h0, *fixed_sigma))):
+        raise ValueError("h0 and the fixed actions must be finite")
     if any(s < 0 for s in fixed_sigma):
         raise ValueError("action values are non-negative")
     omegas = spec.float_omegas()
@@ -220,7 +216,12 @@ def phase_curve(spec: ResonanceSpec, h0: float,
         return [PhaseCurvePoint(0.0, 0.0)]
     for idx in range(samples):
         s1 = top * idx / (samples - 1)
-        rhs = _curve_rhs(spec, h0, fixed_sigma, s1)
+        try:
+            rhs = _curve_rhs(spec, h0, fixed_sigma, s1)
+        except OverflowError:
+            rhs = math.inf
+        if not math.isfinite(rhs):
+            raise ValueError(f"curve overflows a float at sigma1 = {s1!r}")
         root = math.sqrt(max(rhs, 0.0))
         points.append(PhaseCurvePoint(s1, root))
         points.append(PhaseCurvePoint(s1, -root))

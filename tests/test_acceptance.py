@@ -107,12 +107,15 @@ def test_04_worked_model_counts():
     t0 = time.perf_counter()
     rep = totals(3, 10, 2, 1)
     m = cloh_model()
+    # 31 off-diagonal slots: the paper's 31 coupling coefficients
     ok = ((rep.n_coef, rep.n_op, rep.n_c) == (85, 115, 60)
-          and m.slot_count() == 86 and m.nonzero_count() == 28)
+          and m.slot_count() == 86 and m.nonzero_count() == 28
+          and len(m.off_diagonal_terms()) == 31 and m.operator_count() == 117)
     elapsed = time.perf_counter() - t0
     _verdict("worked three-mode model counts", ok, elapsed,
              f"totals {(rep.n_coef, rep.n_op, rep.n_c)}, "
-             f"slots {m.slot_count()}, nonzero {m.nonzero_count()}")
+             f"slots {m.slot_count()}, nonzero {m.nonzero_count()}, "
+             f"off-diagonal {len(m.off_diagonal_terms())}, operators {m.operator_count()}")
     assert ok
 
 

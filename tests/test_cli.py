@@ -139,10 +139,14 @@ class TestModelGrammar:
 
 class TestFixture:
     def test_fixture_parses_to_worked_model(self):
-        m = parse_model_file(str(FIXTURE))
-        assert m.slot_count() == 86
-        assert m.nonzero_count() == 28
-        assert m == cloh_model()
+        # cloh_model() parses the fixture; check its shape against the census
+        spec = ResonanceSpec(3, 2, 1)
+        m = cloh_model()
+        assert (m.spec, m.order) == (spec, 10)
+        *slots, extra = m.terms
+        assert [t.key for t in slots] == [t.key for t in census_terms(spec, 10)]
+        assert extra.kind == "extra"
+        assert (m.slot_count(), len(m.off_diagonal_terms()), m.nonzero_count()) == (86, 31, 28)
 
     def test_fixture_round_trips_byte_for_byte(self):
         m = parse_model_file(str(FIXTURE))
@@ -204,6 +208,12 @@ class TestCountCommand:
                            "--order", "10")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("order", ["-1", "-5"])
+    def test_negative_order_is_usage_error(self, capsys, order):
+        code, out, err = run(capsys, "count", "--n", "3", "--p", "2", "--q", "1",
+                             "--order", order)
+        assert (code, out, err) == (2, "", "error: need N >= 0\n")
 
 
 class TestEnumerateCommand:
@@ -522,6 +532,22 @@ class TestPhaseSpaceCommand:
         assert (code, out) == (2, "")
         assert err == f"error: need between 2 and {resonance.MAX_SAMPLES} samples\n"
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["--p", "2", "--q", "1", "--h0", "nan"], "finite"),
+        (["--p", "2", "--q", "1", "--h0", "inf"], "finite"),
+        (["--p", "2", "--q", "1", "--h0", "1.5", "--sigma", "nan"], "finite"),
+        (["--p", "1", "--q", "1", "--h0", "1e200"], "overflows"),
+        (["--p", "2", "--q", "1", "--h0", "1e200"], "overflows"),
+    ], ids=["h0-nan", "h0-inf", "sigma-nan", "1:1-overflow", "2:1-overflow"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_non_finite_curve_is_usage_error(self, capsys, tmp_path, argv, needle, fmt):
+        out_file = tmp_path / "curve.out"
+        code, out, err = run(capsys, "phase-space", *argv, "--format", fmt,
+                             "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert not out_file.exists()
+
     def test_json_points_carry_residuals(self, capsys):
         code, out, _ = run(capsys, "phase-space", "--p", "2", "--q", "1",
                            "--h0", "2.0", "--samples", "41", "--format", "json")
@@ -580,6 +606,10 @@ class TestPackaging:
         imported = imports_of(argv)
         assert "polyads.cli" in imported
         assert "numpy" not in imported and "polyads.quantum" not in imported
+
+    def test_quantum_import_leaves_the_cli_unloaded(self):
+        imported = imports_of(["-c", "import polyads.quantum"])
+        assert "polyads.quantum" in imported and "polyads.cli" not in imported
 
     def test_package_import_loads_no_submodule(self):
         imported = imports_of(["-c", "import polyads"])

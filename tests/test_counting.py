@@ -168,6 +168,15 @@ class TestTotals:
         with pytest.raises(ValueError):
             totals(1, 10, 2, 1)
 
+    @pytest.mark.parametrize("N", [-1, -5])
+    def test_rejects_negative_order(self, N):
+        with pytest.raises(ValueError, match="N >= 0"):
+            totals(3, N, 2, 1)
+
+    def test_order_zero_has_no_terms(self):
+        rep = totals(3, 0, 2, 1)
+        assert (rep.lam, rep.n_coef, rep.n_op, rep.n_c) == (0, 0, 0, 0)
+
     def test_as_dict_is_complete(self):
         d = totals(3, 10, 2, 1).as_dict()
         assert d["n_coef"] == 85 and d["n_op"] == 115 and d["n_c"] == 60

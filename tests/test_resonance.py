@@ -196,6 +196,20 @@ class TestPhaseCurve:
         with pytest.raises(ValueError):
             phase_curve(spec, 0.1, (5.0,))  # infeasible budget
 
+    @pytest.mark.parametrize("h0, fixed", [
+        (math.nan, (0.1,)), (math.inf, (0.1,)), (-math.inf, (0.1,)),
+        (1.0, (math.nan,)), (1.0, (math.inf,)),
+    ])
+    def test_non_finite_input_rejected(self, h0, fixed):
+        with pytest.raises(ValueError, match="finite"):
+            phase_curve(ResonanceSpec(n=3, p=2, q=1), h0, fixed)
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, 2)])
+    def test_overflowing_curve_rejected(self, p, q):
+        # (1, 1) overflows to inf, the others raise OverflowError in float **
+        with pytest.raises(ValueError, match="overflows"):
+            phase_curve(ResonanceSpec(n=2, p=p, q=q), 1e200 * p, ())
+
     def test_csv_shape_and_rows(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
         buf = io.StringIO()
