@@ -53,6 +53,10 @@ expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1.5 --samples 
 expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 nan
 expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1e200
 expect_usage_error python -m polyads count --n 3 --p 2 --q 1 --order -1
+# census ladders that are not a coprime pair of positive integers exit 2
+expect_usage_error python -m polyads count --n 3 --p -1 --q 1 --order 6
+expect_usage_error python -m polyads enumerate --n 3 --p 0 --q 1 --order 6
+expect_usage_error python -m polyads audit --order 10 --p 2 --q 4 --kind 2
 # a header n too large to index a vector exits 2 before any term is built
 printf 'n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n' > "$TMP/huge_n.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax 4
@@ -73,13 +77,13 @@ assert "sympy" not in sys.modules
 # off-diagonal, 28 nonzero
 python -c '
 import sys
-from polyads.quantum import cloh_model
+from polyads.model import cloh_model
 m = cloh_model()
 assert (m.slot_count(), len(m.off_diagonal_terms()), m.nonzero_count()) == (86, 31, 28)
 assert "sympy" not in sys.modules
 '
 # the shipped model survives parse and serialize byte for byte, comments aside
 grep -v '^#' "$MODEL" > "$TMP/body.model"
-python -c 'import sys; from polyads.cli import parse_model_file, serialize_model; sys.stdout.write(serialize_model(parse_model_file(sys.argv[1])))' "$MODEL" > "$TMP/round.model"
+python -c 'import sys; from polyads.model import parse_model_file, serialize_model; sys.stdout.write(serialize_model(parse_model_file(sys.argv[1])))' "$MODEL" > "$TMP/round.model"
 cmp "$TMP/body.model" "$TMP/round.model"
 echo "smoke checks passed"

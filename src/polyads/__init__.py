@@ -7,8 +7,9 @@ the invariant generators with their bracket relations and reduced phase
 space (:mod:`polyads.resonance`), the monomial census with its brute-force
 oracles and population audit (:mod:`polyads.monomials`), the closed-form
 counting theorems and frozen reference tables (:mod:`polyads.counting`),
-Fock-space assembly and block diagonalization (:mod:`polyads.quantum`),
-and a command line front end (:mod:`polyads.cli`).
+the model's coefficient slots, its file grammar and the worked ClOH model
+(:mod:`polyads.model`), Fock-space assembly and block diagonalization
+(:mod:`polyads.quantum`), and a command line front end (:mod:`polyads.cli`).
 
 Importing the package loads none of its submodules. Each public name is
 looked up in its home module on first access, so a caller pays only for
@@ -30,9 +31,10 @@ _HOME = {
                       "brute_force_delta1", "brute_force_delta2", "cumulative_multiplicity",
                       "enumerate_coupling", "enumerate_dunham", "lambda_raw",
                       "monomials_to_json", "sort_monomials"),
-        "quantum": ("FockState", "HamiltonianModel", "PolyadBlock", "TermSpec", "apply_term",
-                    "build_block", "census_terms", "cloh_model", "conserved_lattice",
-                    "coupling_term", "dunham_energy", "polyad_lattice", "spectrum"),
+        "model": ("HamiltonianModel", "TermSpec", "census_terms", "cloh_model",
+                  "coupling_term"),
+        "quantum": ("FockState", "PolyadBlock", "apply_term", "build_block",
+                    "conserved_lattice", "dunham_energy", "polyad_lattice", "spectrum"),
         "resonance": ("GeneratorSet", "PhaseCurvePoint", "ad_h0", "flow_h0", "generators",
                       "h0_polynomial", "phase_curve", "syzygy_residual",
                       "verify_bracket_table"),

@@ -2,8 +2,9 @@
 
 Subcommands cover the counting reports, monomial census dumps, the frozen
 reference-table check, the appendix-style multiplicity audit, quantum
-spectra from a model file, and reduced-phase-space curves. Model files are
-parsed and serialized here; everything numerical is delegated.
+spectra from a model file, and reduced-phase-space curves. This module
+holds argument parsing, dispatch and output only: model files are read by
+:mod:`polyads.model`, and everything numerical is delegated.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or output error.
 """
@@ -13,197 +14,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from typing import Iterator, Optional, Sequence, TextIO
-
-_HEADER_KEYS = ("n", "p", "q", "order")
-# Most modes a model file may declare. The parser builds length-n exponent
-# vectors for every term line, so a mistyped n must fail before any of them
-# is allocated; 64 is above any vibrational model the grammar is for (a
-# 22-atom molecule has 3 * 22 - 6 = 60 modes).
-MAX_MODES = 64
-_TERM_USAGE = {
-    "omega": "omega <mode> <value>",
-    "dunham": "dunham <factors> <value>",
-    "coupling": "coupling <power> <factors|-> <value>",
-    "extra": "extra <raise> <lower> <value>",
-}
-
-
-class ModelFileError(ValueError):
-    """Model file rejected; carries the 1-based offending line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-def _parse_exps(token: str, n: int, line_no: int, allow_empty: bool) -> tuple[int, ...]:
-    if token == "-":
-        if not allow_empty:
-            raise ModelFileError(line_no, "at least one mode:power factor needed")
-        return (0,) * n
-    exps = [0] * n
-    for part in token.split(","):
-        mode_s, sep, power_s = part.partition(":")
-        if not sep:
-            raise ModelFileError(line_no, f"bad factor {part!r}, expected mode:power")
-        try:
-            mode = int(mode_s)
-            power = int(power_s)
-        except ValueError:
-            raise ModelFileError(line_no, f"bad factor {part!r}, expected integers") from None
-        if not 1 <= mode <= n:
-            raise ModelFileError(line_no, f"mode {mode} outside 1..{n}")
-        if power < 1:
-            raise ModelFileError(line_no, f"power {power} must be positive")
-        if exps[mode - 1]:
-            raise ModelFileError(line_no, f"mode {mode} repeated")
-        exps[mode - 1] = power
-    return tuple(exps)
-
-
-def _parse_value(token: str, line_no: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ModelFileError(line_no, f"bad coefficient {token!r}") from None
-    if not math.isfinite(value):
-        raise ModelFileError(line_no, f"coefficient {token!r} is not finite")
-    return value
-
-
-def _header_spec(header: dict[str, tuple[int, int]], line_no: int, missing_msg: str
-                 ) -> tuple["ResonanceSpec", int]:
-    """Spec and order from header keys mapped to (value, line), else ModelFileError."""
-    from .spec import ResonanceSpec
-
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ModelFileError(line_no, f"{missing_msg} {missing}")
-    (n, n_line), (p, p_line), (q, q_line), (order, order_line) = (
-        header[k] for k in _HEADER_KEYS)
-    if n > MAX_MODES:
-        raise ModelFileError(n_line, f"bad header: n is over the limit of {MAX_MODES} modes")
-    try:
-        spec = ResonanceSpec(n=n, p=p, q=q)
-    except ValueError as exc:
-        raise ModelFileError(max(n_line, p_line, q_line), f"bad header: {exc}") from None
-    if order < 4:
-        raise ModelFileError(order_line, "order must be at least 4")
-    return spec, order
-
-
-def parse_model_text(text: str) -> "HamiltonianModel":
-    """Parse model-file text. Header lines first, then one term per line."""
-    from .quantum import HamiltonianModel, TermSpec, coupling_term
-
-    header: dict[str, tuple[int, int]] = {}
-    terms: list[TermSpec] = []
-    seen: set[tuple] = set()
-    spec: Optional["ResonanceSpec"] = None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            if terms:
-                raise ModelFileError(line_no, "header line after the first term")
-            key, _, value_s = line.partition("=")
-            key = key.strip()
-            if key not in _HEADER_KEYS:
-                raise ModelFileError(line_no, f"unknown header key {key!r}")
-            if key in header:
-                raise ModelFileError(line_no, f"duplicate header key {key!r}")
-            try:
-                value = int(value_s.strip())
-            except ValueError:
-                raise ModelFileError(line_no, f"bad integer for {key!r}") from None
-            header[key] = (value, line_no)
-            continue
-
-        if spec is None:
-            spec, order = _header_spec(header, line_no, "term before header keys")
-
-        parts = line.split()
-        kind = parts[0]
-        usage = _TERM_USAGE.get(kind)
-        if usage is None:
-            raise ModelFileError(line_no, f"unknown term kind {kind!r}")
-        if len(parts) != len(usage.split()):
-            raise ModelFileError(line_no, f"expected: {usage}")
-        zero = (0,) * spec.n
-        coeff, coeff_text = _parse_value(parts[-1], line_no), parts[-1]
-        try:
-            if kind == "coupling":
-                try:
-                    m_exp = int(parts[1])
-                except ValueError:
-                    raise ModelFileError(line_no, f"bad ladder power {parts[1]!r}") from None
-                term = coupling_term(spec, m_exp, _parse_exps(parts[2], spec.n, line_no, True),
-                                     coeff, coeff_text)
-            elif kind == "extra":
-                term = TermSpec("extra", _parse_exps(parts[1], spec.n, line_no, True),
-                                _parse_exps(parts[2], spec.n, line_no, True), zero,
-                                coeff, coeff_text)
-            else:
-                token = f"{parts[1]}:1" if kind == "omega" else parts[1]
-                term = TermSpec("dunham", zero, zero,
-                                _parse_exps(token, spec.n, line_no, False), coeff, coeff_text)
-        except ModelFileError:
-            raise
-        except ValueError as exc:
-            raise ModelFileError(line_no, str(exc)) from None
-        if term.degree > order:
-            raise ModelFileError(line_no, f"degree {term.degree} exceeds order {order}")
-        if term.key in seen:
-            raise ModelFileError(line_no, f"duplicate term {line!r}")
-        seen.add(term.key)
-        terms.append(term)
-
-    if spec is None:
-        spec, order = _header_spec(header, len(text.splitlines()) + 1,
-                                   "missing header keys")
-    return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
-
-
-def parse_model_file(path: str) -> "HamiltonianModel":
-    with open(path, encoding="utf-8") as fh:
-        return parse_model_text(fh.read())
-
-
-def _exps_token(exps: Sequence[int]) -> str:
-    parts = [f"{k}:{r}" for k, r in enumerate(exps, start=1) if r]
-    return ",".join(parts) if parts else "-"
-
-
-def serialize_model(model: "HamiltonianModel", comment: Optional[str] = None) -> str:
-    """Model back to file text; coefficient texts are kept verbatim."""
-    lines: list[str] = []
-    if comment:
-        lines.extend(f"# {c}".rstrip() for c in comment.splitlines())
-    spec = model.spec
-    lines.append(f"n={spec.n}")
-    lines.append(f"p={spec.p}")
-    lines.append(f"q={spec.q}")
-    lines.append(f"order={model.order}")
-    for t in model.terms:
-        value = t.coeff_str()
-        if t.kind == "dunham":
-            if sum(t.num_exps) == 1:
-                mode = next(k for k, r in enumerate(t.num_exps, start=1) if r)
-                lines.append(f"omega {mode} {value}")
-            else:
-                lines.append(f"dunham {_exps_token(t.num_exps)} {value}")
-        elif t.kind == "coupling":
-            lines.append(f"coupling {t.raise_exps[0] // spec.p} "
-                         f"{_exps_token(t.num_exps)} {value}")
-        else:
-            lines.append(f"extra {_exps_token(t.raise_exps)} "
-                         f"{_exps_token(t.lower_exps)} {value}")
-    return "\n".join(lines) + "\n"
 
 
 # -- output plumbing -------------------------------------------------------
@@ -312,16 +124,27 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+def parse_model_file(path: str) -> "HamiltonianModel":
+    """The model in the file at ``path``, with the path in every error.
+
+    The spectrum command's loader, and the name under which the benchmark
+    tracer times the parse. It imports :mod:`polyads.model` when called, so
+    that the census commands start without it.
+    """
+    from . import model
+
+    try:
+        return model.parse_model_file(path)
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from None
+    except model.ModelFileError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     from .quantum import spectrum, write_spectrum_csv, write_spectrum_json
 
-    try:
-        model = parse_model_file(args.model)
-    except OSError as exc:
-        raise OSError(f"cannot read {args.model}: {exc}") from None
-    except ModelFileError as exc:
-        raise ValueError(f"{args.model}: {exc}") from None
-    blocks, rows = spectrum(model, args.pmax, args.n3max)
+    blocks, rows = spectrum(parse_model_file(args.model), args.pmax, args.n3max)
     with _output(args.out) as fh:
         if args.format == "json":
             write_spectrum_json(fh, rows)

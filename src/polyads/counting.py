@@ -20,6 +20,14 @@ def _decompose(N: int, pq: int, offset: int) -> tuple[int, int]:
     return kprime, i
 
 
+def _check_ladder(p: int, q: int) -> None:
+    # ResonanceSpec's p:q checks, less its q <= p, without loading dataclasses
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
+    if math.gcd(p, q) != 1:
+        raise ValueError("p and q must be coprime")
+
+
 def _as_int(num: int, den: int) -> int:
     quot, rem = divmod(num, den)
     assert rem == 0, f"non-integer count {num}/{den}"
@@ -28,8 +36,7 @@ def _as_int(num: int, den: int) -> int:
 
 def delta1_closed(N: int, p: int, q: int) -> int:
     """Independent 2-monomials per sum at order N (0 below threshold)."""
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
+    _check_ladder(p, q)
     pq = p + q
     if N < pq + 2:
         return 0
@@ -47,8 +54,7 @@ def delta1_closed(N: int, p: int, q: int) -> int:
 
 def delta2_closed(N: int, p: int, q: int) -> int:
     """Independent 3-monomials per sum at order N (0 below threshold)."""
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
+    _check_ladder(p, q)
     pq = p + q
     if N < pq + 4:
         return 0
@@ -113,13 +119,10 @@ def totals(n: int, N: int, p: int, q: int) -> CountReport:
         raise ValueError("need n >= 2")
     if N < 0:
         raise ValueError("need N >= 0")
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
-    pq = p + q
-    q0 = N // 2
-    q1 = N // pq
-    d1 = delta1_closed(N, p, q)
+    d1 = delta1_closed(N, p, q)  # these two check p and q
     d2 = delta2_closed(N, p, q)
+    q0 = N // 2
+    q1 = N // (p + q)
     lam = lambda_dunham(n, N)
     pairs = n * (n - 1) // 2
     n_coef = lam + q1 + n * d1 + pairs * d2

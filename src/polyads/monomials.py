@@ -156,6 +156,14 @@ def dunham_blocks(n: int, N: int) -> list[Block]:
     return [(None, 0, t, n) for t in range(1, N // 2 + 1)]
 
 
+def _check_ladder(p: int, q: int) -> None:
+    # ResonanceSpec's p:q checks, less its q <= p, without loading dataclasses
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
+    if math.gcd(p, q) != 1:
+        raise ValueError("p and q must be coprime")
+
+
 def coupling_blocks(n: int, N: int, p: int, q: int) -> list[Block]:
     """The coupling blocks of the census rule up to expansion order N.
 
@@ -164,8 +172,7 @@ def coupling_blocks(n: int, N: int, p: int, q: int) -> list[Block]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
+    _check_ladder(p, q)
     pq = p + q
     return [(m, k, t, 2) for m in (-1, 0) for k in range(1, N // pq + 1)
             for t in range((N - pq * k) // 2 + 1)]
@@ -292,12 +299,13 @@ def cumulative_multiplicity(c: CoupleC, N: int, p: int, q: int) -> int:
 def _couple_classes(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[tuple[int, int]]:
     """(k', qj) of each class of couples appearing at some order <= N. A
     kind-2 class is one couple; a kind-3 class holds qj - 1, one per split
-    gamma, all with the appearance order of the class."""
+    gamma, all with the appearance order of the class. Checks p and q when
+    called, before the first class is drawn."""
+    _check_ladder(p, q)
     pq = p + q
     offset = 2 if kind == 2 else 4
-    for kprime in range(1, max(0, (N - offset) // pq) + 1):
-        for qj in range(offset // 2, (N - pq * kprime) // 2 + 1):
-            yield kprime, qj
+    return ((kprime, qj) for kprime in range(1, max(0, (N - offset) // pq) + 1)
+            for qj in range(offset // 2, (N - pq * kprime) // 2 + 1))
 
 
 def iter_couples(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[CoupleC]:
@@ -316,6 +324,7 @@ def lambda_raw(N: int, p: int, q: int, kind: Literal[2, 3]) -> int:
     sum_beta Q3(Q3-1)/2 for kind 3, and also to the total cumulative
     multiplicity over all couples.
     """
+    _check_ladder(p, q)
     pq = p + q
     if kind == 2:
         if N < pq + 2:
@@ -385,13 +394,14 @@ def audit_counting(N: int, p: int, q: int, kind: Literal[2, 3]) -> MultiplicityA
     theorems are checked against. Orders below the first appearance
     threshold produce an all-zero audit.
     """
+    classes = _couple_classes(N, p, q, kind)  # checks p and q
     pq = p + q
     kprime_top = (N - (2 if kind == 2 else 4)) // pq
     pop_top = 0
     pop_rest = 0
     alpha = 0
     present = 0
-    for kprime, qj in _couple_classes(N, p, q, kind):
+    for kprime, qj in classes:
         size = 1 if kind == 2 else qj - 1
         # cumulative_multiplicity of each couple in the class; all have appeared by N
         n_app = kprime * pq + 2 * qj

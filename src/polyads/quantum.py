@@ -8,172 +8,38 @@ only the raising branch is evaluated, with its number factors taken on the
 source ket, and the amplitude is written at [target, source] and
 [source, target]. Coefficients are real so this is exactly the Hermitian
 operator pair.
+
+The model itself, its terms and the worked ClOH model live in
+:mod:`polyads.model`; this module assembles, diagonalizes and writes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Iterable, Literal, Optional, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
+from .model import HamiltonianModel, TermSpec
 from .spec import ResonanceSpec
 
 FockState = tuple[int, ...]
-
-TermKind = Literal["dunham", "coupling", "extra"]
-
-
-@dataclass(frozen=True)
-class TermSpec:
-    """One coefficient slot: the operator a+^raise a^lower N^num plus its
-    transpose, the three exponent vectors of length n each.
-
-    The number string N^num stands rightmost, so the written (raising)
-    member weighs its source ket. ``kind`` is the model-file keyword and
-    restricts the shape: "dunham" is a number string alone (no ladder, the
-    pair collapses to the one diagonal operator), "coupling" a power of the
-    resonance ladder (see coupling_term) and "extra" a bare ladder pair with
-    no number string. Every off-diagonal term shifts occupation.
-    """
-
-    kind: TermKind
-    raise_exps: tuple[int, ...]
-    lower_exps: tuple[int, ...]
-    num_exps: tuple[int, ...]
-    coeff: float = 0.0
-    coeff_text: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in ("dunham", "coupling", "extra"):
-            raise ValueError(f"unknown term kind {self.kind!r}")
-        if not len(self.raise_exps) == len(self.lower_exps) == len(self.num_exps):
-            raise ValueError("raise, lower and number exponents need one length")
-        if min(self.raise_exps + self.lower_exps + self.num_exps, default=0) < 0:
-            raise ValueError("exponents are non-negative")
-        if self.kind == "dunham":
-            if any(self.raise_exps) or any(self.lower_exps):
-                raise ValueError("dunham terms are pure number strings")
-            if not any(self.num_exps):
-                raise ValueError("dunham term needs at least one factor")
-        elif not any(self.shift):
-            raise ValueError(f"{self.kind} term must shift occupation")
-        elif self.kind == "extra" and any(self.num_exps):
-            raise ValueError("extra terms carry only ladder vectors")
-
-    @property
-    def key(self) -> tuple:
-        return (self.kind, self.raise_exps, self.lower_exps, self.num_exps)
-
-    @property
-    def shift(self) -> tuple[int, ...]:
-        """Occupation change of the raising branch; zero for diagonal terms."""
-        return tuple(r - l for r, l in zip(self.raise_exps, self.lower_exps))
-
-    @property
-    def degree(self) -> int:
-        """Polynomial degree in the oscillator variables."""
-        return sum(self.raise_exps) + sum(self.lower_exps) + 2 * sum(self.num_exps)
-
-    def coeff_str(self) -> str:
-        return self.coeff_text if self.coeff_text is not None else repr(self.coeff)
-
-
-def coupling_term(spec: ResonanceSpec, m: int, num_exps: Sequence[int],
-                  coeff: float = 0.0, coeff_text: Optional[str] = None) -> TermSpec:
-    """The coupling slot on the m-th power of the resonance ladder:
-    a1+^(p m) a2^(q m) N^num_exps plus its transpose."""
-    if m < 1:
-        raise ValueError("ladder power must be positive")
-    rest = (0,) * (spec.n - 2)
-    return TermSpec("coupling", (spec.p * m, 0) + rest, (0, spec.q * m) + rest,
-                    tuple(num_exps), coeff, coeff_text)
-
-
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """A resonance spec plus the full list of coefficient slots."""
-
-    spec: ResonanceSpec
-    order: int
-    terms: tuple[TermSpec, ...]
-
-    def __post_init__(self):
-        spec = self.spec
-        seen = set()
-        for t in self.terms:
-            key = t.key
-            if key in seen:
-                raise ValueError(f"duplicate term {key}")
-            seen.add(key)
-            if len(t.num_exps) != spec.n:
-                raise ValueError(f"term {key} does not match n={spec.n}")
-            if t.degree > self.order:
-                raise ValueError(f"term {key} has degree {t.degree}, over order {self.order}")
-            m = t.raise_exps[0] // spec.p
-            if t.kind == "coupling" and (
-                    m < 1 or key != coupling_term(spec, m, t.num_exps).key):
-                raise ValueError(f"term {key} is no power of the {spec.p}:{spec.q} ladder")
-
-    def dunham_terms(self) -> list[TermSpec]:
-        return [t for t in self.terms if t.kind == "dunham"]
-
-    def off_diagonal_terms(self) -> list[TermSpec]:
-        return [t for t in self.terms if t.kind != "dunham"]
-
-    def slot_count(self) -> int:
-        return len(self.terms)
-
-    def nonzero_count(self) -> int:
-        return sum(1 for t in self.terms if t.coeff != 0.0)
-
-    def operator_count(self) -> int:
-        """Monomial count with each self-adjoint ladder pair counted twice."""
-        return sum(1 if t.kind == "dunham" else 2 for t in self.terms)
-
-    def without_couplings(self) -> "HamiltonianModel":
-        """Copy with every off-diagonal coefficient set to zero."""
-        terms = tuple(t if t.kind == "dunham" else replace(t, coeff=0.0, coeff_text="0")
-                      for t in self.terms)
-        return HamiltonianModel(self.spec, self.order, terms)
 
 
 # -- ladder arithmetic -----------------------------------------------------
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
-
-
-def _rising(n: int, k: int) -> int:
-    out = 1
-    for j in range(1, k + 1):
-        out *= n + j
-    return out
-
-
 def _ladder(f: FockState, raise_v: Sequence[int], lower_v: Sequence[int]
             ) -> Optional[tuple[FockState, float]]:
-    # normal order: annihilators first, then creators
-    sq = 1
-    target = list(f)
-    for k, low in enumerate(lower_v):
-        if low:
-            if target[k] < low:
-                return None
-            sq *= _falling(target[k], low)
-            target[k] -= low
-    for k, high in enumerate(raise_v):
-        if high:
-            sq *= _rising(target[k], high)
-            target[k] += high
-    return tuple(target), math.sqrt(sq)
+    # normal order: annihilators first, then creators; the squared amplitude
+    # is the exact integer of _ladder_table
+    if any(v < low for v, low in zip(f, lower_v)):
+        return None
+    moves = list(zip(f, lower_v, raise_v))
+    sq = math.prod(math.perm(v, low) * math.perm(v - low + high, high) for v, low, high in moves)
+    return tuple(v - low + high for v, low, high in moves), math.sqrt(sq)
 
 
 def _number_factor(f: FockState, exps: Sequence[int]) -> float:
@@ -190,8 +56,8 @@ def raising_branch(t: TermSpec, f: FockState, spec: ResonanceSpec
 
     Number factors are evaluated on the incoming state, matching the
     operator order with the number string rightmost. ``spec`` is unused,
-    since the term carries its own ladder; it goes when ROADMAP item 5
-    rewrites the benchmark tracer, which passes it.
+    since the term carries its own ladder; it stays because
+    ``perfbench/tracer.py`` passes it.
     """
     if t.kind == "dunham":
         return None
@@ -214,7 +80,8 @@ def apply_term(t: TermSpec, f: FockState, spec: ResonanceSpec
     (raising) member, so the raising branch evaluates D on the incoming
     state and the transposed branch on the outgoing one. Annihilation
     below the vacuum, or a vanishing number factor, silently drops a
-    branch. ``spec`` is unused, as in raising_branch.
+    branch. ``spec`` is unused and passed on to raising_branch, whose
+    signature ``perfbench/tracer.py`` fixes.
     """
     if t.kind == "dunham":
         amp = _number_factor(f, t.num_exps)
@@ -519,36 +386,3 @@ def write_spectrum_json(out: TextIO, rows: Iterable[tuple[int, int, int, float]]
         count += 1
     out.write("\n]\n" if count else "[]\n")
     return count
-
-
-# -- the worked model ------------------------------------------------------
-
-def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
-    """Every coefficient slot of the order-N census, all zero.
-
-    One TermSpec per number-only monomial plus one per coupling pair, in
-    canonical order; the slot count matches the closed-form coefficient
-    total. A pair's two monomials differ only in the mixed generator, and
-    the m = -1 member stands for it.
-    """
-    from .monomials import enumerate_coupling, enumerate_dunham
-
-    zero = (0,) * spec.n
-    terms = [TermSpec("dunham", zero, zero, mono.num_exps, 0.0, "0")
-             for mono in enumerate_dunham(spec.n, order)]
-    terms += [coupling_term(spec, mono.m_exp, mono.num_exps, 0.0, "0")
-              for mono in enumerate_coupling(spec.n, order, spec.p, spec.q)
-              if mono.m_part == -1]
-    return tuple(terms)
-
-
-def cloh_model() -> HamiltonianModel:
-    """The worked three-mode 2:1 model at order 10.
-
-    86 coefficient slots: every number-only and coupling slot of the order
-    10 census (zeros included) plus one explicit 3:1 ladder pair between
-    modes 2 and 3, written in self-adjoint form. 28 of them are nonzero.
-    """
-    from .cli import parse_model_file
-
-    return parse_model_file(str(Path(__file__).with_name("data") / "cloh.model"))

@@ -25,14 +25,11 @@ from polyads.counting import (
     totals,
 )
 from polyads.monomials import audit_counting, brute_force_delta1, brute_force_delta2
+from polyads.model import HamiltonianModel, TermSpec, cloh_model, coupling_term
 from polyads.quantum import (
-    HamiltonianModel,
-    TermSpec,
     apply_term,
     build_block,
-    cloh_model,
     conserved_lattice,
-    coupling_term,
     dunham_energy,
     spectrum,
     state_label,

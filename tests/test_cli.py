@@ -17,20 +17,18 @@ from hypothesis import strategies as st
 
 import polyads
 from polyads import resonance
-from polyads.cli import (
+from polyads.cli import main
+from polyads.model import (
+    HamiltonianModel,
     ModelFileError,
-    main,
+    TermSpec,
+    census_terms,
+    cloh_model,
     parse_model_file,
     parse_model_text,
     serialize_model,
 )
-from polyads.quantum import (
-    HamiltonianModel,
-    TermSpec,
-    census_terms,
-    cloh_model,
-    dunham_energy,
-)
+from polyads.quantum import dunham_energy
 from polyads.resonance import ResonanceSpec
 
 FIXTURE = Path(polyads.__file__).parent / "data" / "cloh.model"
@@ -572,6 +570,21 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert str(out_file) in err and not out_file.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "3", "--order", "6"],
+    ["enumerate", "--n", "3", "--order", "6"],
+    ["audit", "--order", "10", "--kind", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("p, q, message", [
+    ("-1", "1", "p and q must be positive"),
+    ("0", "1", "p and q must be positive"),
+    ("2", "4", "p and q must be coprime"),
+], ids=["negative", "zero", "common-factor"])
+def test_bad_ladder_is_usage_error(capsys, argv, p, q, message):
+    code, out, err = run(capsys, *argv, "--p", p, "--q", q)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def imports_of(argv: list[str]) -> set[str]:
     """Modules that ``python -X importtime argv`` imports; the run must succeed."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
@@ -611,6 +624,19 @@ class TestPackaging:
         imported = imports_of(["-c", "import polyads.quantum"])
         assert "polyads.quantum" in imported and "polyads.cli" not in imported
 
+    def test_model_import_leaves_numpy_quantum_and_cli_unloaded(self):
+        imported = imports_of(["-c", "import polyads.model"])
+        assert "polyads.model" in imported
+        assert not imported & {"numpy", "polyads.quantum", "polyads.cli"}
+
+    def test_worked_model_loads_without_numpy(self):
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from polyads.model import cloh_model\n"
+                "assert cloh_model().slot_count() == 86\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert proc.returncode == 0, proc.stderr
+
     def test_package_import_loads_no_submodule(self):
         imported = imports_of(["-c", "import polyads"])
         assert "polyads" in imported
@@ -618,13 +644,17 @@ class TestPackaging:
 
     @pytest.mark.parametrize("argv, used, unused", [
         (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
-         "polyads.counting", {"polyads.monomials", "polyads.resonance", "polyads.zpoly"}),
+         "polyads.counting",
+         {"polyads.monomials", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
         (["verify-tables"],
-         "polyads.counting", {"polyads.monomials", "polyads.resonance", "polyads.zpoly"}),
+         "polyads.counting",
+         {"polyads.monomials", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
         (["enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
-         "polyads.monomials", {"polyads.counting", "polyads.resonance", "polyads.zpoly"}),
+         "polyads.monomials",
+         {"polyads.counting", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
         (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],
-         "polyads.monomials", {"polyads.counting", "polyads.resonance", "polyads.zpoly"}),
+         "polyads.monomials",
+         {"polyads.counting", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
     ], ids=["count", "verify-tables", "enumerate", "audit"])
     def test_census_commands_import_only_their_module(self, argv, used, unused):
         imported = imports_of(["-m", "polyads", *argv])
@@ -665,15 +695,16 @@ class TestPackaging:
             polyads.no_such_name
 
     def test_every_public_name_is_its_home_module_object(self):
-        from polyads import counting, monomials, quantum, resonance, spec, zpoly
+        from polyads import counting, model, monomials, quantum, resonance, spec, zpoly
 
         assert polyads.totals is counting.totals
         assert polyads.GenMonomial is monomials.GenMonomial
+        assert polyads.cloh_model is model.cloh_model
         assert polyads.spectrum is quantum.spectrum
         assert polyads.ResonanceSpec is spec.ResonanceSpec
         assert polyads.ResonanceSpec is resonance.ResonanceSpec
         assert polyads.ZPolynomial is zpoly.ZPolynomial
-        modules = (counting, monomials, quantum, resonance, spec, zpoly)
+        modules = (counting, model, monomials, quantum, resonance, spec, zpoly)
         for name in polyads.__all__:
             if name != "__version__":
                 assert any(vars(m).get(name) is getattr(polyads, name) for m in modules), name

@@ -117,6 +117,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             totals(2, 10, 6, 3)
 
+    @pytest.mark.parametrize("p, q", [(-1, 1), (0, 1), (1, 0), (2, -3)])
+    def test_rejects_non_positive_ladder(self, p, q):
+        for count in (delta1_closed, delta2_closed, lambda *a: totals(2, *a)):
+            with pytest.raises(ValueError, match="p and q must be positive"):
+                count(10, p, q)
+
     def test_integrality_discharged_over_wide_sweep(self):
         # every numerator must divide exactly, to an int >= 0
         for N in range(0, 41):

@@ -357,6 +357,18 @@ def audit_reference(N, p, q, kind):
 
 
 class TestAudit:
+    @pytest.mark.parametrize("p, q, message", [
+        (-1, 1, "positive"), (0, 1, "positive"), (1, 0, "positive"), (2, 4, "coprime"),
+    ])
+    def test_entry_points_check_the_ladder(self, p, q, message):
+        # each raises on the call itself, before a couple or block is drawn
+        calls = [lambda: coupling_blocks(3, 10, p, q), lambda: lambda_raw(10, p, q, 2)]
+        calls += [lambda f=f, k=k: f(10, p, q, k) for f in (audit_counting, iter_couples)
+                  for k in (2, 3)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"p and q must be {message}"):
+                call()
+
     @pytest.mark.parametrize("kind", [2, 3])
     @pytest.mark.parametrize("pq", [(1, 1), (2, 1), (1, 2), (3, 2), (4, 1)])
     def test_matches_couple_object_reference(self, pq, kind):

@@ -20,20 +20,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyads.cli import main as cli_main, parse_model_text, serialize_model
+from polyads.cli import main as cli_main
 from polyads.counting import totals
 from polyads import quantum
-from polyads.quantum import (
-    MAX_BOX_STATES,
+from polyads.model import (
     HamiltonianModel,
-    PolyadBlock,
     TermSpec,
-    apply_term,
-    build_block,
     census_terms,
     cloh_model,
-    conserved_lattice,
     coupling_term,
+    parse_model_text,
+    serialize_model,
+)
+from polyads.quantum import (
+    MAX_BOX_STATES,
+    PolyadBlock,
+    apply_term,
+    build_block,
+    conserved_lattice,
     dunham_energy,
     polyad_lattice,
     raising_branch,
@@ -348,7 +352,8 @@ class TestLattices:
 
     def test_runtime_path_needs_no_sympy(self):
         code = ("import sys; sys.modules['sympy'] = None\n"
-                "from polyads.quantum import cloh_model, conserved_lattice\n"
+                "from polyads.model import cloh_model\n"
+                "from polyads.quantum import conserved_lattice\n"
                 "assert conserved_lattice(cloh_model()) == [(1, 2, 6)]\n"
                 "from polyads.cli import main\n"
                 f"sys.exit(main(['spectrum', '--model', {str(FIXTURE)!r},"
