@@ -60,10 +60,16 @@ expect_usage_error python -m polyads audit --order 10 --p 2 --q 4 --kind 2
 # a header n too large to index a vector exits 2 before any term is built
 printf 'n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n' > "$TMP/huge_n.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax 4
+# a model file that is not UTF-8 exits 2 with its path and the bad line
+printf 'n=3\np=2\nq=1\norder=10\n# \377\n' > "$TMP/latin.model"
+expect_usage_error python -m polyads spectrum --model "$TMP/latin.model" --pmax 4 2> "$TMP/latin.err"
+grep -q "latin.model: line 5: not UTF-8" "$TMP/latin.err"
 # exact algebra: the generator bracket table and the syzygy hold, and a
-# product of generators is invariant, all with zero residual
+# product of generators is invariant, all with zero residual; importing the
+# exact algebra loads neither dataclasses nor inspect
 python -c '
 import sys
+before = set(sys.modules)
 from polyads.resonance import ResonanceSpec, ad_h0, generators, syzygy_residual, verify_bracket_table
 for p, q in ((1, 1), (2, 1), (3, 1), (3, 2)):
     spec = ResonanceSpec(n=3, p=p, q=q)
@@ -72,6 +78,7 @@ for p, q in ((1, 1), (2, 1), (3, 1), (3, 2)):
     assert syzygy_residual(spec).is_zero(), (p, q)
     assert ad_h0(gens[-1] * gens[0] ** 2 * gens[3], spec).is_zero(), (p, q)
 assert "sympy" not in sys.modules
+assert not {"dataclasses", "inspect"} & (set(sys.modules) - before)
 '
 # the worked model is read from the shipped file: 86 slots, 31 of them
 # off-diagonal, 28 nonzero

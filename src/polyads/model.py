@@ -301,8 +301,14 @@ def parse_model_text(text: str) -> HamiltonianModel:
 
 
 def parse_model_file(path: str) -> HamiltonianModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model_text(fh.read())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        bad = f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise ModelFileError(line_no, bad) from None
+    return parse_model_text(text)
 
 
 def _exps_token(exps: Sequence[int]) -> str:

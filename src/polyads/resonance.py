@@ -12,9 +12,8 @@ algebra, and is re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .spec import ResonanceSpec
 from .zpoly import (
@@ -25,14 +24,13 @@ from .zpoly import (
 )
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """The n+2 invariant generators, keyed by id in {-1, 0, 1..n}."""
 
-    n: int
-    p: int
-    q: int
-    sigma: dict[int, ZPolynomial]
+    __slots__ = ("n", "p", "q", "sigma")
+
+    def __init__(self, n: int, p: int, q: int, sigma: dict[int, ZPolynomial]):
+        self.n, self.p, self.q, self.sigma = n, p, q, sigma
 
     def ids(self) -> list[int]:
         return [-1, 0] + list(range(1, self.n + 1))
@@ -94,8 +92,7 @@ def flow_h0(z0: Sequence[complex], t: float, spec: ResonanceSpec) -> tuple[compl
 # -- bracket table ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketCheck:
+class BracketCheck(NamedTuple):
     """One entry of the generator bracket table."""
 
     pair: tuple[int, int]
@@ -150,8 +147,7 @@ def syzygy_residual(spec: ResonanceSpec) -> ZPolynomial:
 # -- reduced phase space ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseCurvePoint:
+class PhaseCurvePoint(NamedTuple):
     """A point of the reduced phase space cross-section sigma_-1' = 0."""
 
     sigma1: float

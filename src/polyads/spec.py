@@ -7,29 +7,35 @@ model-file parser get :class:`ResonanceSpec` without the exact algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class ResonanceSpec:
-    """Problem sizes for one p:q resonant system.
+_SpecFields = NamedTuple("_SpecFields", [("n", int), ("p", int), ("q", int)])
+
+
+class ResonanceSpec(_SpecFields):
+    """Problem sizes for one p:q resonant system, checked on every construction.
 
     The frequencies follow from (p, q): see ``exact_omegas``.
     """
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, p: int, q: int):
+        if n < 2:
             raise ValueError("need n >= 2 oscillators")
-        if self.p < 1 or self.q < 1:
+        if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
-        if self.q > self.p:
+        if q > p:
             raise ValueError("expected p >= q")
-        if math.gcd(self.p, self.q) != 1:
+        if math.gcd(p, q) != 1:
             raise ValueError("p and q must be coprime")
+        return tuple.__new__(cls, (n, p, q))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "ResonanceSpec":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def exact_omegas(self) -> tuple["Fraction", ...]:
         """Pairwise-distinct exact frequencies with the right ratio.

@@ -2,11 +2,12 @@
 
 Polynomials live in the 2n variables z_1..z_n, z_1*..z_n* with exact
 complex-rational coefficients, stored as Gaussian-integer numerators over
-one denominator per polynomial, in lowest terms. Everything here is
-immutable by convention and pure, so values can be shared freely. Floating
-point enters only in :meth:`ZPolynomial.evaluate`; every algebraic identity
-(brackets, syzygy, kernel membership) is checked with zero residual, never a
-tolerance.
+one denominator per polynomial, in lowest terms: a sum drops the terms that
+cancel as it merges, and ``_lowest`` ends its gcd once it reaches 1.
+Everything here is immutable by convention and pure, so values can be shared
+freely (``ZPolynomial.one(n)`` is one instance per n). Floating point enters
+only in :meth:`ZPolynomial.evaluate`; every algebraic identity (brackets,
+syzygy, kernel membership) is checked with zero residual, never a tolerance.
 
 Each monomial is keyed by one packed int of 2n + 1 fields, ``EXP_BITS``
 bits each. From the most significant field down they hold the total degree,
@@ -19,6 +20,7 @@ The total degree of every monomial is at most ``MAX_DEGREE`` = 2**EXP_BITS
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import chain
@@ -110,6 +112,18 @@ def _check_same_n(p: "ZPolynomial", q: "ZPolynomial") -> None:
         raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
 
 
+def _lowest(terms: dict[int, tuple[int, int]], den: int) -> tuple[dict, int]:
+    """``terms`` (no zero numerator) over ``den``, both divided by their gcd."""
+    g = den
+    if g != 1:
+        for re, im in terms.values():
+            g = math.gcd(g, re, im)
+            if g == 1:  # then the whole gcd is 1
+                return terms, den
+        terms = {m: (re // g, im // g) for m, (re, im) in terms.items()}
+    return terms, den // g
+
+
 class ZPolynomial:
     """Polynomial in z_k, z_k* with exact complex-rational coefficients.
 
@@ -117,10 +131,11 @@ class ZPolynomial:
     a Gaussian-integer numerator ``(re, im)`` of Python ints, and ``_den``
     is one positive denominator for all of them. The constructor
     ``ZPolynomial(n, terms, den)`` takes that internal form, drops zero
-    numerators and divides the numerators and ``_den`` by their common gcd.
-    The form is thus in lowest terms (zero has ``_den`` 1), and equality is
-    plain dict and ``_den`` equality. Build polynomials with the class
-    methods; monomials enter and leave as exponent vectors or
+    numerators and divides the numerators and ``_den`` by their common gcd
+    (``_lowest``); sums and negations, whose terms are nonzero, skip the
+    filter (``_of``). The form is thus in lowest terms (zero has ``_den``
+    1), and equality is plain dict and ``_den`` equality. Build polynomials
+    with the class methods; monomials enter and leave as exponent vectors or
     :class:`ZMonomial`, coefficients as :class:`ComplexRational`. No term
     has total degree above ``MAX_DEGREE``.
     """
@@ -133,11 +148,13 @@ class ZPolynomial:
             raise ValueError("need at least one oscillator")
         self.n = n
         kept = {m: c for m, c in terms.items() if c != (0, 0)} if terms else {}
-        g = math.gcd(den, *chain.from_iterable(kept.values()))
-        if g != 1:
-            kept = {m: (re // g, im // g) for m, (re, im) in kept.items()}
-        self._terms = kept
-        self._den = den // g
+        self._terms, self._den = _lowest(kept, den)
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[int, tuple[int, int]], den: int) -> "ZPolynomial":
+        out = object.__new__(cls)  # the internal form, taken as it is
+        out.n, out._terms, out._den = n, terms, den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -151,6 +168,7 @@ class ZPolynomial:
         return cls.monomial(n, zeros, zeros, c)
 
     @classmethod
+    @functools.cache
     def one(cls, n: int) -> "ZPolynomial":
         return cls.constant(n, 1)
 
@@ -182,15 +200,19 @@ class ZPolynomial:
                else {m: (re * s, im * s) for m, (re, im) in self._terms.items()})
         for mono, (re, im) in other._terms.items():
             r0, i0 = out.get(mono, (0, 0))
-            out[mono] = (r0 + re * t, i0 + im * t)
-        return ZPolynomial(self.n, out, den)
+            r0, i0 = r0 + re * t, i0 + im * t
+            if r0 or i0:
+                out[mono] = (r0, i0)
+            else:  # cancelled; only a key of the left operand can cancel
+                del out[mono]
+        return ZPolynomial._of(self.n, *_lowest(out, den))
 
     def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "ZPolynomial":
-        return ZPolynomial(self.n, {m: (-re, -im) for m, (re, im) in self._terms.items()},
-                           self._den)
+        return ZPolynomial._of(self.n, {m: (-re, -im) for m, (re, im) in self._terms.items()},
+                               self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -218,14 +240,13 @@ class ZPolynomial:
         if k < 0:
             raise ValueError("negative power")
         _check_degree(self.degree() * k)
-        out = ZPolynomial.one(self.n)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
-        return out
+        return ZPolynomial.one(self.n) if out is None else out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ZPolynomial) and self.n == other.n
@@ -303,32 +324,43 @@ def poisson_bracket(f: ZPolynomial, g: ZPolynomial) -> ZPolynomial:
     which gives {z_j, z_k*} = -i delta_jk. Exact, antisymmetric, and a
     derivation in each slot.
 
-    One pass over term pairs: for each k, the pair of terms c1 z^a1 z*^b1 and
-    c2 z^a2 z*^b2 adds -i (a1_k b2_k - b1_k a2_k) c1 c2 at the sum of their
-    keys less the keys of z_k and z_k*. The factor is zero unless the sum has
-    both z_k and z_k*, so the key stays a valid monomial.
+    Bilinear: with f = fr + i fi and g = gr + i gi,
+    {f, g} = -i (S(fr, gr) - S(fi, gi)) + S(fr, gi) + S(fi, gr), with S the
+    sum above over integer numerators, without its -i. Each S is one pass
+    over term pairs: for each k, terms c1 z^a1 z*^b1 and c2 z^a2 z*^b2 add
+    (a1_k b2_k - b1_k a2_k) c1 c2 at the sum of their keys less the keys of
+    z_k and z_k*, a valid monomial whenever the factor is nonzero. Brackets
+    of real or imaginary operands, as in the invariant algebra, take one.
     """
     _check_same_n(f, g)
     n = f.n
     _check_degree(f.degree() + g.degree() - 2)
-    out: dict[int, tuple[int, int]] = {}
-    get = out.get
-    zero = (0, 0)
+    # (key, numerator) pairs of the real and imaginary parts of f and g
+    fr, fi, gr, gi = ([(m, c[j]) for m, c in p._terms.items() if c[j]]
+                      for p in (f, g) for j in (0, 1))
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
     mask = MAX_DEGREE
-    for k in range(n):
-        sa, sb = EXP_BITS * (2 * n - 1 - k), EXP_BITS * (n - 1 - k)
-        # key of z_k z_k*: one in its two exponent fields, two in the degree
-        step = (2 << (2 * n * EXP_BITS)) + (1 << sa) + (1 << sb)
-        fk = [(m - step, re, im, m >> sa & mask, m >> sb & mask)
-              for m, (re, im) in f._terms.items() if (m >> sa | m >> sb) & mask]
-        gk = [(m, re, im, m >> sa & mask, m >> sb & mask)
-              for m, (re, im) in g._terms.items() if (m >> sa | m >> sb) & mask]
-        for m1, x1, y1, a1, b1 in fk:
-            for m2, x2, y2, a2, b2 in gk:
-                fac = a1 * b2 - b1 * a2
-                if fac:
-                    mono = m1 + m2
-                    re, im = get(mono, zero)
-                    # -i fac c1 c2 with c1 c2 = (x1 x2 - y1 y2) + i (x1 y2 + y1 x2)
-                    out[mono] = (re + fac * (x1 * y2 + y1 * x2), im + fac * (y1 * y2 - x1 * x2))
+    # acc += sign * S(fp, gp), for each pair of parts that are both nonzero
+    for fp, gp, acc, sign in ((fr, gi, re, 1), (fi, gr, re, 1),
+                              (fr, gr, im, -1), (fi, gi, im, 1)):
+        if not (fp and gp):
+            continue
+        get = acc.get
+        for k in range(n):
+            sa, sb = EXP_BITS * (2 * n - 1 - k), EXP_BITS * (n - 1 - k)
+            # key of z_k z_k*: one in its two exponent fields, two in the degree
+            step = (2 << (2 * n * EXP_BITS)) + (1 << sa) + (1 << sb)
+            fk = [(m - step, c, m >> sa & mask, m >> sb & mask)
+                  for m, c in fp if (m >> sa | m >> sb) & mask]
+            gk = [(m, sign * c, m >> sa & mask, m >> sb & mask)
+                  for m, c in gp if (m >> sa | m >> sb) & mask]
+            for m1, c1, a1, b1 in fk:
+                for m2, c2, a2, b2 in gk:
+                    fac = a1 * b2 - b1 * a2
+                    if fac:
+                        mono = m1 + m2
+                        acc[mono] = get(mono, 0) + fac * c1 * c2
+    out = {m: (v, im.pop(m, 0)) for m, v in re.items()}
+    out.update((m, (0, v)) for m, v in im.items())
     return ZPolynomial(n, out, f._den * g._den)

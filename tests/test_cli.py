@@ -416,6 +416,18 @@ class TestSpectrumCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}: line {line_no}: ")
 
+    @pytest.mark.parametrize("data,message", [
+        (b"n=3\np=2\nq=1\norder=10\n\xff\nomega 1 1.0\n",
+         "line 5: not UTF-8: byte 0xff (invalid start byte)"),
+        (b"n=3\r\np=2\r\nq=1\rorder=10\n\nomega 1 1.0 # caf\xc3\xa9 \xe2\x82",
+         "line 6: not UTF-8: byte 0xe2 (unexpected end of data)"),
+    ], ids=["bad-byte", "truncated-at-end"])
+    def test_non_utf8_model_names_path_and_line(self, capsys, tmp_path, data, message):
+        bad = tmp_path / "latin.model"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "spectrum", "--model", str(bad), "--pmax", "4")
+        assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum", "--model",
                            str(tmp_path / "nope.model"), "--pmax", "4")
@@ -636,6 +648,11 @@ class TestPackaging:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
         assert proc.returncode == 0, proc.stderr
+
+    def test_exact_algebra_import_loads_no_dataclasses(self, bare_imports):
+        imported = imports_of(["-c", "import polyads.resonance"]) - bare_imports
+        assert "polyads.resonance" in imported
+        assert not imported & {"dataclasses", "inspect"}
 
     def test_package_import_loads_no_submodule(self):
         imported = imports_of(["-c", "import polyads"])

@@ -49,6 +49,31 @@ class TestResonanceSpec:
         with pytest.raises(ValueError):
             ResonanceSpec(**kwargs)
 
+    @pytest.mark.parametrize("fields,message", [
+        ((1, 2, 1), "need n >= 2 oscillators"),
+        ((2, 0, 1), "p and q must be positive"),
+        ((2, 1, 2), "expected p >= q"),
+        ((2, 4, 2), "p and q must be coprime"),
+    ])
+    def test_every_construction_validates(self, fields, message):
+        good = ResonanceSpec(3, 2, 1)
+        builds = [
+            lambda: ResonanceSpec(*fields),
+            lambda: ResonanceSpec(**dict(zip(("n", "p", "q"), fields))),
+            lambda: ResonanceSpec._make(fields),
+            lambda: good._replace(**dict(zip(("n", "p", "q"), fields))),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+    def test_equal_specs_are_equal_values(self):
+        a, b = ResonanceSpec(n=3, p=2, q=1), ResonanceSpec._make((3, 2, 1))
+        assert a == b and hash(a) == hash(b)
+        assert ResonanceSpec(3, 2, 1)._replace(n=4) == ResonanceSpec(n=4, p=2, q=1)
+        assert (a.n, a.p, a.q) == (3, 2, 1)
+        assert repr(a) == "ResonanceSpec(n=3, p=2, q=1)"
+
 
 def Fraction_like(a, b):
     from fractions import Fraction

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +354,121 @@ class TestSympyOracle:
         assert coefficients(f + g) == coefficients_of(fe + ge)
         assert coefficients(f * g) == coefficients_of(fe * ge)
         assert coefficients(poisson_bracket(f, g)) == coefficients_of(bracket)
+
+
+# -- a reference that shares no code with ZPolynomial arithmetic -------------
+#
+# A reference polynomial maps the 2n exponents (z_1..z_n, then z_1*..z_n*) of
+# each monomial to one (re, im) pair of Fractions; zero pairs are dropped.
+
+
+def ref_clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != (0, 0)}
+
+
+def ref_add(f: dict, g: dict, sign: int = 1) -> dict:
+    out = dict(f)
+    for e, (x, y) in g.items():
+        r, i = out.get(e, (0, 0))
+        out[e] = (r + sign * x, i + sign * y)
+    return ref_clean(out)
+
+
+def ref_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e1, (x1, y1) in f.items():
+        for e2, (x2, y2) in g.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            r, i = out.get(e, (0, 0))
+            out[e] = (r + x1 * x2 - y1 * y2, i + x1 * y2 + y1 * x2)
+    return ref_clean(out)
+
+
+def ref_diff(f: dict, slot: int) -> dict:
+    out = {}
+    for e, (x, y) in f.items():
+        if e[slot]:
+            lower = e[:slot] + (e[slot] - 1,) + e[slot + 1:]
+            out[lower] = (x * e[slot], y * e[slot])
+    return out
+
+
+def ref_bracket(f: dict, g: dict, n: int) -> dict:
+    acc: dict = {}
+    for k in range(n):
+        acc = ref_add(acc, ref_mul(ref_diff(f, k), ref_diff(g, n + k)))
+        acc = ref_add(acc, ref_mul(ref_diff(f, n + k), ref_diff(g, k)), sign=-1)
+    return ref_mul(acc, {(0,) * (2 * n): (Fraction(0), Fraction(-1))})
+
+
+def ref_of(p: ZPolynomial) -> dict:
+    return {m.a + m.b: (c.re, c.im) for m, c in p.terms()}
+
+
+def snapshot(p: ZPolynomial) -> tuple:
+    return dict(p._terms), p._den
+
+
+def assert_canonical(p: ZPolynomial) -> None:
+    assert (0, 0) not in p._terms.values()
+    assert p._den > 0
+    assert math.gcd(p._den, *chain.from_iterable(p._terms.values())) == 1
+
+
+st_part = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+st_zero = st.just(Fraction(0))
+# purely real, purely imaginary or mixed coefficients, one kind per polynomial,
+# so that every one of the bracket's four real/imaginary sums runs
+st_kind = st.sampled_from([(st_part, st_zero), (st_zero, st_part), (st_part, st_part)])
+
+
+def st_ref_poly(n: int):
+    """(ZPolynomial, reference) pairs built from the same drawn terms."""
+    def terms(kind):
+        re, im = kind
+        return st.lists(st.tuples(
+            st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n).map(tuple),
+            re, im), max_size=4)
+
+    def both(raw):
+        poly, ref = ZPolynomial.zero(n), {}
+        for e, re, im in raw:
+            poly = poly + ZPolynomial.monomial(n, e[:n], e[n:], ComplexRational.of(re, im))
+            ref = ref_add(ref, {e: (re, im)})
+        return poly, ref
+
+    return st_kind.flatmap(terms).map(both)
+
+
+class TestFractionOracle:
+    """Every operation against a Fraction-pair reference, and its invariants.
+
+    After each operation the result has no zero numerator, a positive
+    denominator and numerators with no common factor with it, and neither
+    operand has changed.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), k=st.integers(0, 3),
+           c=st.tuples(st_part, st_part))
+    def test_operations_match_reference(self, data, n, k, c):
+        (f, fr), (g, gr) = data.draw(st_ref_poly(n)), data.draw(st_ref_poly(n))
+        before = snapshot(f), snapshot(g)
+        assert ref_of(f) == fr and ref_of(g) == gr
+        const = (0,) * (2 * n)
+        power = {const: (Fraction(1), Fraction(0))}
+        for _ in range(k):
+            power = ref_mul(power, fr)
+        cases = [
+            (f + g, ref_add(fr, gr)),
+            (f - g, ref_add(fr, gr, sign=-1)),
+            (-f, ref_add({}, fr, sign=-1)),
+            (f * g, ref_mul(fr, gr)),
+            (f * ComplexRational.of(*c), ref_mul(fr, {const: c})),
+            (f ** k, power),
+            (poisson_bracket(f, g), ref_bracket(fr, gr, n)),
+        ]
+        for result, expected in cases:
+            assert ref_of(result) == expected
+            assert_canonical(result)
+        assert (snapshot(f), snapshot(g)) == before
