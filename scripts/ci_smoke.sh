@@ -57,6 +57,21 @@ expect_usage_error python -m polyads count --n 3 --p 2 --q 1 --order -1
 expect_usage_error python -m polyads count --n 3 --p -1 --q 1 --order 6
 expect_usage_error python -m polyads enumerate --n 3 --p 0 --q 1 --order 6
 expect_usage_error python -m polyads audit --order 10 --p 2 --q 4 --kind 2
+# censuses and audits too large to build or walk exit 2 before any output
+expect_usage_error python -m polyads enumerate --kind dunham --n 1200 --order 4
+expect_usage_error python -m polyads enumerate --n 64 --p 2 --q 1 --order 8 --out "$TMP/big.json"
+test ! -e "$TMP/big.json"
+expect_usage_error python -m polyads enumerate --n 40 --order 8 --format json
+expect_usage_error python -m polyads enumerate --n 2 --order 1000000000
+expect_usage_error python -m polyads audit --order -5 --p 2 --q 1 --kind 2
+expect_usage_error python -m polyads audit --order 100000000 --p 2 --q 1 --kind 3
+# a model path that is a FIFO, or a file over the size limit, exits 2
+# before it is opened; the timeout in expect_usage_error ends a hang
+mkfifo "$TMP/fifo.model"
+expect_usage_error python -m polyads spectrum --model "$TMP/fifo.model" --pmax 4 2> "$TMP/fifo.err"
+grep -q "fifo.model: not a regular file" "$TMP/fifo.err"
+python -c 'import sys; from polyads.model import MAX_FILE_BYTES; open(sys.argv[1], "wb").truncate(MAX_FILE_BYTES + 1)' "$TMP/huge.model"
+expect_usage_error python -m polyads spectrum --model "$TMP/huge.model" --pmax 4
 # a header n too large to index a vector exits 2 before any term is built
 printf 'n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n' > "$TMP/huge_n.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax 4
@@ -93,4 +108,10 @@ assert "sympy" not in sys.modules
 grep -v '^#' "$MODEL" > "$TMP/body.model"
 python -c 'import sys; from polyads.model import parse_model_file, serialize_model; sys.stdout.write(serialize_model(parse_model_file(sys.argv[1])))' "$MODEL" > "$TMP/round.model"
 cmp "$TMP/body.model" "$TMP/round.model"
+# the scripts run at small sizes
+python scripts/make_tables.py | tail -n 1 | grep -qx "all frozen cells match"
+python scripts/run_cloh_spectrum.py --pmax 10 --n3max 1 --out "$TMP/levels.csv"
+test "$(head -n 1 "$TMP/levels.csv")" = "P,n3,index,energy_cm1"
+python scripts/sample_phase_curves.py --samples 11 --energies 1.0 --outdir "$TMP/curves"
+test "$(ls "$TMP/curves" | wc -l)" -eq 4
 echo "smoke checks passed"

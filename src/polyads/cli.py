@@ -36,9 +36,14 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         fh.write(text)
 
 
-def _kv_table(pairs: list[tuple[str, object]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in pairs)
+def _emit_record(data: dict, args: argparse.Namespace) -> None:
+    """One flat record as indented JSON, or as an aligned key/value table."""
+    if args.format == "json":
+        text = json.dumps(data, indent=2) + "\n"
+    else:
+        width = max(map(len, data))
+        text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in data.items())
+    _emit(text, args.out)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -49,22 +54,20 @@ def _kv_table(pairs: list[tuple[str, object]]) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     from .counting import totals
 
-    data = totals(args.n, args.order, args.p, args.q).as_dict()
-    if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
-    else:
-        _emit(_kv_table(list(data.items())), args.out)
+    _emit_record(totals(args.n, args.order, args.p, args.q).as_dict(), args)
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .monomials import census_monomials, coupling_blocks, dunham_blocks, write_census_json
+    from .monomials import (census_monomials, check_census, coupling_blocks, dunham_blocks,
+                            write_census_json)
 
     blocks = []
     if args.kind in ("dunham", "both"):
         blocks += dunham_blocks(args.n, args.order)
     if args.kind in ("coupling", "both"):
         blocks += coupling_blocks(args.n, args.order, args.p, args.q)
+    check_census(args.n, blocks)
     with _output(args.out) as fh:
         if args.format == "json":
             write_census_json(fh, args.n, blocks)
@@ -116,11 +119,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .monomials import audit_counting
 
-    data = audit_counting(args.order, args.p, args.q, args.kind)._asdict()
-    if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
-    else:
-        _emit(_kv_table(list(data.items())), args.out)
+    _emit_record(audit_counting(args.order, args.p, args.q, args.kind)._asdict(), args)
     return 0
 
 

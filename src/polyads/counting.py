@@ -12,20 +12,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .spec import check_ladder
+
 
 def _decompose(N: int, pq: int, offset: int) -> tuple[int, int]:
     # N = k'(p+q) + offset + i with i in [0, p+q-1]; valid only for k' >= 1
     kprime = (N - offset) // pq
     i = (N - offset) % pq
     return kprime, i
-
-
-def _check_ladder(p: int, q: int) -> None:
-    # ResonanceSpec's p:q checks, less its q <= p, without loading dataclasses
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
 
 
 def _as_int(num: int, den: int) -> int:
@@ -36,7 +30,7 @@ def _as_int(num: int, den: int) -> int:
 
 def delta1_closed(N: int, p: int, q: int) -> int:
     """Independent 2-monomials per sum at order N (0 below threshold)."""
-    _check_ladder(p, q)
+    check_ladder(p, q)
     pq = p + q
     if N < pq + 2:
         return 0
@@ -54,7 +48,7 @@ def delta1_closed(N: int, p: int, q: int) -> int:
 
 def delta2_closed(N: int, p: int, q: int) -> int:
     """Independent 3-monomials per sum at order N (0 below threshold)."""
-    _check_ladder(p, q)
+    check_ladder(p, q)
     pq = p + q
     if N < pq + 4:
         return 0

@@ -8,11 +8,13 @@ loads neither numpy nor the command line.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
-from .spec import ResonanceSpec
+from .spec import MAX_MODES, ResonanceSpec
 
 TermKind = Literal["dunham", "coupling", "extra"]
 
@@ -153,11 +155,10 @@ def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
 # -- the model-file grammar ------------------------------------------------
 
 _HEADER_KEYS = ("n", "p", "q", "order")
-# Most modes a model file may declare. The parser builds length-n exponent
-# vectors for every term line, so a mistyped n must fail before any of them
-# is allocated; 64 is above any vibrational model the grammar is for (a
-# 22-atom molecule has 3 * 22 - 6 = 60 modes).
-MAX_MODES = 64
+# Largest model file read. Each term line holds three length-n vectors: at
+# n = 64, a file of this size with 41,664 three-mode `dunham` lines parses
+# with a peak of 79 MB. The shipped worked model is 2 KB.
+MAX_FILE_BYTES = 2 ** 20
 _TERM_USAGE = {
     "omega": "omega <mode> <value>",
     "dunham": "dunham <factors> <value>",
@@ -301,6 +302,15 @@ def parse_model_text(text: str) -> HamiltonianModel:
 
 
 def parse_model_file(path: str) -> HamiltonianModel:
+    """The model in the file at ``path``. Anything but a regular file, or a
+    file over MAX_FILE_BYTES, raises OSError before it is opened, so that a
+    FIFO cannot block the read and a device cannot fill memory."""
+    info = os.stat(path)
+    # a directory goes on to fail in read_bytes, with the system's message
+    if not stat.S_ISREG(info.st_mode) and not stat.S_ISDIR(info.st_mode):
+        raise OSError("not a regular file")
+    if info.st_size > MAX_FILE_BYTES:
+        raise OSError(f"over the limit of {MAX_FILE_BYTES} bytes")
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")

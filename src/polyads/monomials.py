@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, KeysView, Literal, NamedTuple, Optional, TextIO
 
+from .spec import MAX_CENSUS_ENTRIES, MAX_CENSUS_RECORDS, MAX_MODES, check_ladder, check_order
+
 
 class _GenFields(NamedTuple):
     m_part: Optional[int]
@@ -153,15 +155,8 @@ def dunham_blocks(n: int, N: int) -> list[Block]:
         raise ValueError("need n >= 1")
     if N < 4:
         raise ValueError("need N >= 4")
+    check_order(N)
     return [(None, 0, t, n) for t in range(1, N // 2 + 1)]
-
-
-def _check_ladder(p: int, q: int) -> None:
-    # ResonanceSpec's p:q checks, less its q <= p, without loading dataclasses
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
 
 
 def coupling_blocks(n: int, N: int, p: int, q: int) -> list[Block]:
@@ -172,10 +167,42 @@ def coupling_blocks(n: int, N: int, p: int, q: int) -> list[Block]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_ladder(p, q)
+    check_ladder(p, q)
+    check_order(N)
     pq = p + q
     return [(m, k, t, 2) for m in (-1, 0) for k in range(1, N // pq + 1)
             for t in range((N - pq * k) // 2 + 1)]
+
+
+def check_census(n: int, blocks: list[Block]) -> None:
+    """Refuse, before any vector is built, a census of ``blocks`` over
+    MAX_MODES modes (the enumeration recurses once per mode), over
+    MAX_CENSUS_RECORDS records, or whose memo would hold over
+    MAX_CENSUS_ENTRIES exponent entries.
+
+    Records and entries are counted with math.comb. C(n, j) C(t-1, j-1) vectors of length
+    n have j nonzero entries and total t. The memo holds, for each support
+    s, the vectors of every length m <= n with at most s nonzero entries and
+    a total up to the largest block total t of that support, of which
+    C(m, j) C(t, j) have j nonzero entries. The count is within a third of
+    the entries held: the memo keeps some lists under more than one support,
+    and fewer zero vectors than are counted here.
+    """
+    if n > MAX_MODES:
+        raise ValueError(f"need n <= {MAX_MODES}")
+    records = sum(sum(math.comb(n, j) * math.comb(t - 1, j - 1)
+                      for j in range(1, min(support, n) + 1)) if t else 1
+                  for _, _, t, support in blocks)
+    if records > MAX_CENSUS_RECORDS:
+        raise ValueError(f"census of {records} records is over the limit of {MAX_CENSUS_RECORDS}")
+    tops: dict[int, int] = {}
+    for _, _, t, support in blocks:
+        tops[support] = max(t, tops.get(support, 0))
+    entries = sum(m * math.comb(m, j) * math.comb(t, j) for support, t in tops.items()
+                  for m in range(1, n + 1) for j in range(min(support, m) + 1))
+    if entries > MAX_CENSUS_ENTRIES:
+        raise ValueError(f"census of {entries} exponent entries is over the limit of "
+                         f"{MAX_CENSUS_ENTRIES}")
 
 
 def census_monomials(n: int, blocks: Iterable[Block]) -> KeysView[GenMonomial]:
@@ -301,7 +328,7 @@ def _couple_classes(N: int, p: int, q: int, kind: Literal[2, 3]) -> Iterator[tup
     kind-2 class is one couple; a kind-3 class holds qj - 1, one per split
     gamma, all with the appearance order of the class. Checks p and q when
     called, before the first class is drawn."""
-    _check_ladder(p, q)
+    check_ladder(p, q)
     pq = p + q
     offset = 2 if kind == 2 else 4
     return ((kprime, qj) for kprime in range(1, max(0, (N - offset) // pq) + 1)
@@ -324,7 +351,7 @@ def lambda_raw(N: int, p: int, q: int, kind: Literal[2, 3]) -> int:
     sum_beta Q3(Q3-1)/2 for kind 3, and also to the total cumulative
     multiplicity over all couples.
     """
-    _check_ladder(p, q)
+    check_ladder(p, q)
     pq = p + q
     if kind == 2:
         if N < pq + 2:
@@ -392,8 +419,12 @@ def audit_counting(N: int, p: int, q: int, kind: Literal[2, 3]) -> MultiplicityA
 
     Not a closed form: this is the independent audit the closed-form
     theorems are checked against. Orders below the first appearance
-    threshold produce an all-zero audit.
+    threshold produce an all-zero audit; a negative order, or one over
+    MAX_ORDER, raises ValueError.
     """
+    if N < 0:
+        raise ValueError("need N >= 0")
+    check_order(N)
     classes = _couple_classes(N, p, q, kind)  # checks p and q
     pq = p + q
     kprime_top = (N - (2 if kind == 2 else 4)) // pq

@@ -1,13 +1,47 @@
-"""Problem sizes of one p:q resonant system.
+"""Problem sizes of one p:q resonant system, and the limits on them.
 
 Kept apart from :mod:`polyads.resonance` so that the quantum path and the
-model-file parser get :class:`ResonanceSpec` without the exact algebra.
+model-file parser get :class:`ResonanceSpec` without the exact algebra, and
+small enough that the census commands load it for :func:`check_ladder`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, NamedTuple
+
+# Most modes a model file or a census may have. The parser builds length-n
+# exponent vectors for every term line, and the census recursion is n calls
+# deep, so a mistyped n must fail before any of them is built; 64 is above
+# any vibrational model the grammar is for (a 22-atom molecule has
+# 3 * 22 - 6 = 60 modes).
+MAX_MODES = 64
+# Highest expansion order that `enumerate` and `audit` walk. At order N the
+# coupling census has about N^2 / (2 (p+q)) blocks, and the audit sums about
+# as many couple classes; `audit` takes 0.12 s at order 1000, growing as N^2.
+MAX_ORDER = 1000
+# Most records a census may list, and most exponent entries that the memo of
+# its enumeration may hold (see monomials.check_census). The records bound
+# the table output, which keeps one object per record; the entries bound the
+# memoised vectors, which outgrow the records as n grows. The largest
+# census they accept peaks at 184 MB (n = 8, 3:2, order 30, table output),
+# against 27 MB for n = 6 at order 30.
+MAX_CENSUS_RECORDS = 500_000
+MAX_CENSUS_ENTRIES = 8_000_000
+
+
+def check_ladder(p: int, q: int) -> None:
+    """Refuse a p:q that is not a coprime pair of positive integers, which
+    every counting theorem and the normalized Hamiltonian assume."""
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
+    if math.gcd(p, q) != 1:
+        raise ValueError("p and q must be coprime")
+
+
+def check_order(N: int) -> None:
+    if N > MAX_ORDER:
+        raise ValueError(f"need N <= {MAX_ORDER}")
 
 
 _SpecFields = NamedTuple("_SpecFields", [("n", int), ("p", int), ("q", int)])
@@ -24,12 +58,10 @@ class ResonanceSpec(_SpecFields):
     def __new__(cls, n: int, p: int, q: int):
         if n < 2:
             raise ValueError("need n >= 2 oscillators")
-        if p < 1 or q < 1:
-            raise ValueError("p and q must be positive")
-        if q > p:
+        # before check_ladder, so that 2:4 reads as the wrong way round
+        if q > p >= 1:
             raise ValueError("expected p >= q")
-        if math.gcd(p, q) != 1:
-            raise ValueError("p and q must be coprime")
+        check_ladder(p, q)
         return tuple.__new__(cls, (n, p, q))
 
     @classmethod

@@ -19,6 +19,7 @@ import polyads
 from polyads import resonance
 from polyads.cli import main
 from polyads.model import (
+    MAX_FILE_BYTES,
     HamiltonianModel,
     ModelFileError,
     TermSpec,
@@ -281,6 +282,24 @@ class TestEnumerateCommand:
         with pytest.raises(AssertionError, match="GenMonomial built"):
             run(capsys, *args)  # the guard bites where monomials are built
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "dunham", "--n", "1200", "--order", "4"], "need n <= 64"),
+        (["--n", "2", "--order", "1001"], "need N <= 1000"),
+        (["--kind", "coupling", "--n", "2", "--order", "1000"],
+         "census of 41917000 records is over the limit of 500000"),
+        (["--n", "40", "--order", "8"],
+         "census of 41767930 exponent entries is over the limit of 8000000"),
+        (["--n", "64", "--p", "2", "--q", "1", "--order", "8"],
+         "census of 818804 records is over the limit of 500000"),
+    ], ids=["modes", "order", "coupling-records", "entries", "records"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_oversized_census_is_usage_error(self, capsys, tmp_path, argv, message, fmt):
+        out_file = tmp_path / "census.out"
+        code, out, err = run(capsys, "enumerate", *argv, "--format", fmt,
+                             "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
     def test_empty_coupling_census_is_an_empty_array(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "coupling", "--n", "2",
                            "--p", "5", "--q", "2", "--order", "6", "--format", "json")
@@ -332,6 +351,14 @@ class TestAuditCommand:
         total = (data["pop_class_kprime"] + data["pop_other_classes"]
                  + data["switched_off_alpha"])
         assert total == data["lambda1_raw"]
+
+    @pytest.mark.parametrize("order, message", [
+        ("-5", "need N >= 0"), ("1001", "need N <= 1000"), ("100000000", "need N <= 1000"),
+    ])
+    def test_order_out_of_range_is_usage_error(self, capsys, order, message):
+        code, out, err = run(capsys, "audit", "--order", order, "--p", "2", "--q", "1",
+                             "--kind", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("p,q,digest", [
         ("1", "1", "c214774ba7d7bcab44427262d0b37ea178799f2c555ce3462381e27bcec29ac2"),
@@ -427,6 +454,35 @@ class TestSpectrumCommand:
         bad.write_bytes(data)
         code, out, err = run(capsys, "spectrum", "--model", str(bad), "--pmax", "4")
         assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_model_is_refused_before_it_is_opened(self, tmp_path):
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        # opening a FIFO that nobody writes would block: a timeout ends a hang
+        proc = subprocess.run([sys.executable, "-m", "polyads", "spectrum", "--model", str(fifo),
+                               "--pmax", "4"], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cannot read {fifo}: not a regular file\n"
+
+    def test_model_file_size_limit(self, capsys, tmp_path):
+        at_limit = tmp_path / "at_limit.model"
+        at_limit.write_text(MINIMAL + "#" * (MAX_FILE_BYTES - len(MINIMAL) - 1) + "\n")
+        assert at_limit.stat().st_size == MAX_FILE_BYTES
+        assert run(capsys, "spectrum", "--model", str(at_limit), "--pmax", "4")[0] == 0
+        over = tmp_path / "over.model"
+        with open(over, "wb") as fh:
+            fh.truncate(MAX_FILE_BYTES + 1)
+        code, out, err = run(capsys, "spectrum", "--model", str(over), "--pmax", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {over}: over the limit of {MAX_FILE_BYTES} bytes\n"
+
+    def test_directory_model_keeps_the_system_message(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spectrum", "--model", str(tmp_path), "--pmax", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path}: [Errno ")
+        assert "Is a directory" in err
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum", "--model",

@@ -7,9 +7,10 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyads import monomials
 from polyads.counting import delta1_closed, delta2_closed, lambda_dunham, totals
 from polyads.monomials import (
     CoupleC,
@@ -19,6 +20,7 @@ from polyads.monomials import (
     brute_force_delta1,
     brute_force_delta2,
     census_monomials,
+    check_census,
     coupling_blocks,
     cumulative_multiplicity,
     dunham_blocks,
@@ -251,6 +253,66 @@ class TestCensusJsonWriter:
         text = census_json(1, [(-1, 1, 2, 0), (0, 2, 0, 0), (-1, 1, 2, 1)])
         monos = [GenMonomial(0, 2, (0,)), GenMonomial(-1, 1, (2,))]
         assert text == json_oracle(monos) + "\n"
+
+
+def census_blocks(kind, n, N, p, q):
+    blocks = []
+    if kind != "coupling":
+        blocks += dunham_blocks(n, N)
+    if kind != "dunham":
+        blocks += coupling_blocks(n, N, p, q)
+    return blocks
+
+
+class TestCensusLimits:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
+           n=st.integers(2, 5), N=st.integers(4, 20), pq=st_pq)
+    def test_record_count_is_exact(self, kind, n, N, pq):
+        blocks = census_blocks(kind, n, N, *pq)
+        records = len(json.loads(census_json(n, blocks)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monomials, "MAX_CENSUS_RECORDS", records)
+            check_census(n, blocks)
+            patch.setattr(monomials, "MAX_CENSUS_RECORDS", records - 1)
+            with pytest.raises(ValueError, match=f"^census of {records} records is over"):
+                check_census(n, blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
+           n=st.integers(2, 6), N=st.integers(4, 20), pq=st_pq)
+    def test_entry_count_follows_the_memo(self, kind, n, N, pq):
+        # the entries of every vector that enumerating the census memoises
+        blocks = census_blocks(kind, n, N, *pq)
+        memo: dict = {}
+        for _, _, t, support in blocks:
+            monomials._exponent_vectors(n, t, support, memo, monomials._tuple_row)
+        held = sum(map(len, itertools.chain.from_iterable(memo.values())))
+        assume(held)
+        # the count is within a third of what is held
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held * 3 // 2)
+            check_census(n, blocks)
+            patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held * 2 // 3)
+            with pytest.raises(ValueError, match="exponent entries is over"):
+                check_census(n, blocks)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: check_census(65, []), "need n <= 64"),
+        (lambda: dunham_blocks(2, 1001), "need N <= 1000"),
+        (lambda: coupling_blocks(2, 1001, 2, 1), "need N <= 1000"),
+        (lambda: audit_counting(-1, 2, 1, 2), "need N >= 0"),
+        (lambda: audit_counting(1001, 2, 1, 3), "need N <= 1000"),
+    ])
+    def test_sizes_over_the_limits_raise(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_sizes_at_the_limits_pass(self):
+        check_census(64, dunham_blocks(64, 4))
+        assert len(dunham_blocks(1, 1000)) == 500
+        assert len(coupling_blocks(64, 1000, 999, 1)) == 2
+        assert audit_counting(1000, 999, 1, 3).delta == 0
 
 
 class TestBruteForce:

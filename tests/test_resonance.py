@@ -54,6 +54,9 @@ class TestResonanceSpec:
         ((2, 0, 1), "p and q must be positive"),
         ((2, 1, 2), "expected p >= q"),
         ((2, 4, 2), "p and q must be coprime"),
+        # input that breaks two rules gets the message of the first rule
+        ((2, 2, 4), "expected p >= q"),
+        ((2, 0, 4), "p and q must be positive"),
     ])
     def test_every_construction_validates(self, fields, message):
         good = ResonanceSpec(3, 2, 1)
