@@ -41,6 +41,10 @@ test "$(python -m polyads enumerate --kind coupling --n 2 --p 5 --q 2 --order 6 
 python -m polyads spectrum --model "$MODEL" --pmax 20 --n3max 2 --format json --out "$TMP/levels.json"
 python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/levels.json" > "$TMP/levels_stdlib.json"
 cmp "$TMP/levels.json" "$TMP/levels_stdlib.json"
+# so is the phase-space JSON, one record per branch of every sample
+python -m polyads phase-space --p 3 --q 2 --h0 3.0 --sigma 0.2 0.1 --samples 57 --format json --out "$TMP/curve.json"
+python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/curve.json" > "$TMP/curve_stdlib.json"
+cmp "$TMP/curve.json" "$TMP/curve_stdlib.json"
 # a 3:2 model has no states at P = 1 and must still get a spectrum
 printf 'n=2\np=3\nq=2\norder=6\nomega 1 1000.0\nomega 2 1500.0\ncoupling 1 - 0.5\n' > "$TMP/three_two.model"
 python -m polyads spectrum --model "$TMP/three_two.model" --pmax 10
@@ -53,6 +57,10 @@ expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1.5 --samples 
 expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 nan
 expect_usage_error python -m polyads phase-space --p 2 --q 1 --h0 1e200
 expect_usage_error python -m polyads count --n 3 --p 2 --q 1 --order -1
+expect_usage_error python -m polyads enumerate --kind coupling --n 2 --p 2 --q 1 --order -5
+# more modes than a census may have exit 2, however large the order
+expect_usage_error python -m polyads count --n 65 --p 2 --q 1 --order 10
+expect_usage_error python -m polyads count --n 100000 --p 2 --q 1 --order 100000
 # census ladders that are not a coprime pair of positive integers exit 2
 expect_usage_error python -m polyads count --n 3 --p -1 --q 1 --order 6
 expect_usage_error python -m polyads enumerate --n 3 --p 0 --q 1 --order 6
@@ -79,9 +87,14 @@ expect_usage_error python -m polyads spectrum --model "$TMP/huge_n.model" --pmax
 printf 'n=3\np=2\nq=1\norder=10\n# \377\n' > "$TMP/latin.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/latin.model" --pmax 4 2> "$TMP/latin.err"
 grep -q "latin.model: line 5: not UTF-8" "$TMP/latin.err"
+# one operator written twice, here as a coupling and as its transposed
+# extra pair, exits 2 with the line of the second
+printf 'n=2\np=2\nq=1\norder=6\ncoupling 1 - 5.0\nextra 2:1 1:2 5.0\n' > "$TMP/twice.model"
+expect_usage_error python -m polyads spectrum --model "$TMP/twice.model" --pmax 4 2> "$TMP/twice.err"
+grep -q "twice.model: line 6: duplicate term" "$TMP/twice.err"
 # exact algebra: the generator bracket table and the syzygy hold, and a
 # product of generators is invariant, all with zero residual; importing the
-# exact algebra loads neither dataclasses nor inspect
+# exact algebra loads neither dataclasses, inspect nor json
 python -c '
 import sys
 before = set(sys.modules)
@@ -93,7 +106,7 @@ for p, q in ((1, 1), (2, 1), (3, 1), (3, 2)):
     assert syzygy_residual(spec).is_zero(), (p, q)
     assert ad_h0(gens[-1] * gens[0] ** 2 * gens[3], spec).is_zero(), (p, q)
 assert "sympy" not in sys.modules
-assert not {"dataclasses", "inspect"} & (set(sys.modules) - before)
+assert not {"dataclasses", "inspect", "json"} & (set(sys.modules) - before)
 '
 # the worked model is read from the shipped file: 86 slots, 31 of them
 # off-diagonal, 28 nonzero

@@ -32,11 +32,11 @@ def main() -> int:
         for h_rel in args.energies:
             h0 = h_rel * w2
             points = phase_curve(spec, h0, (), args.samples)
-            peak = max(points, key=lambda pt: pt.sigma0p)
+            peak = max(points, key=lambda pt: pt.branches[0])
             path = args.outdir / f"curve_p{p}q{q}_h{h_rel:g}.csv"
             with open(path, "w", encoding="utf-8") as fh:
-                write_phase_curve_csv(fh, points, spec, h0)
-            print(f"p={p} q={q} h0/w2={h_rel:g}: max sigma0' = {peak.sigma0p:.6f} "
+                write_phase_curve_csv(fh, points)
+            print(f"p={p} q={q} h0/w2={h_rel:g}: max sigma0' = {peak.branches[0]:.6f} "
                   f"at sigma1 = {peak.sigma1:.6f} -> {path}")
     return 0
 

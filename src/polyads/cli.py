@@ -155,31 +155,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_phase_space(args: argparse.Namespace) -> int:
-    from .resonance import ResonanceSpec, phase_curve, phase_curve_residual, write_phase_curve_csv
+    from .resonance import (ResonanceSpec, phase_curve, write_phase_curve_csv,
+                            write_phase_curve_json)
 
     fixed = tuple(args.sigma)
-    n = 2 + len(fixed)
-    spec = ResonanceSpec(n=n, p=args.p, q=args.q)
+    spec = ResonanceSpec(n=2 + len(fixed), p=args.p, q=args.q)
     # flag value is h0 over the second frequency; rescale to the
     # exact-unit convention (second frequency = p) phase_curve expects
-    h0 = args.h0 * spec.float_omegas()[1]
-    points = phase_curve(spec, h0, fixed, args.samples)
+    points = phase_curve(spec, args.h0 * spec.float_omegas()[1], fixed, args.samples)
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = [
-                {
-                    "sigma1": pt.sigma1,
-                    "sigma0p": pt.sigma0p,
-                    "residual": phase_curve_residual(spec, h0, fixed, pt),
-                }
-                for pt in points
-            ]
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            write_phase_curve_json(fh, points)
         else:
-            write_phase_curve_csv(fh, points, spec, h0, fixed)
-    # one row per sample: two branch points each, or the origin alone
-    summary = f"rows {(len(points) + 1) // 2}\n"
+            write_phase_curve_csv(fh, points)
+    summary = f"rows {len(points)}\n"
     (sys.stdout if args.out else sys.stderr).write(summary)
     return 0
 

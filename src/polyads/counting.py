@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .spec import check_ladder
+from .spec import MAX_MODES, check_ladder
 
 
 def _decompose(N: int, pq: int, offset: int) -> tuple[int, int]:
@@ -111,6 +111,8 @@ def totals(n: int, N: int, p: int, q: int) -> CountReport:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > MAX_MODES:
+        raise ValueError(f"need n <= {MAX_MODES}")
     if N < 0:
         raise ValueError("need N >= 0")
     d1 = delta1_closed(N, p, q)  # these two check p and q

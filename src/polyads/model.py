@@ -58,7 +58,15 @@ class TermSpec:
 
     @property
     def key(self) -> tuple:
-        return (self.kind, self.raise_exps, self.lower_exps, self.num_exps)
+        """The slot's operator, whichever keyword and orientation wrote it.
+
+        A pair whose shift is lexicographically negative is keyed as its
+        transpose. Only an "extra" term can shift that way, and it carries
+        no number string, so the swapped pair is the same operator.
+        """
+        if self.shift < (0,) * len(self.shift):
+            return (self.lower_exps, self.raise_exps, self.num_exps)
+        return (self.raise_exps, self.lower_exps, self.num_exps)
 
     @property
     def shift(self) -> tuple[int, ...]:

@@ -132,6 +132,7 @@ def _exponent_vectors(n: int, total: int, support: int, memo: dict, row: Callabl
     ``row(e)`` when it has one entry: _tuple_row gives tuples and _text_row
     the exponents' JSON text. ``memo`` keeps each list built, keyed by the
     other arguments, so one memo serves one kind of row."""
+    support = min(support, n)
     key = (n, total, support)
     rows = memo.get(key)
     if rows is None:
@@ -164,6 +165,7 @@ def coupling_blocks(n: int, N: int, p: int, q: int) -> list[Block]:
 
     For each mixed generator m in {-1, 0}: every m^k times at most two
     action generators s_i^g s_j^r with k >= 1 and (p+q) k + 2(g+r) <= N.
+    A negative N, or one over MAX_ORDER, raises ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -185,8 +187,7 @@ def check_census(n: int, blocks: list[Block]) -> None:
     s, the vectors of every length m <= n with at most s nonzero entries and
     a total up to the largest block total t of that support, of which
     C(m, j) C(t, j) have j nonzero entries. The count is within a third of
-    the entries held: the memo keeps some lists under more than one support,
-    and fewer zero vectors than are counted here.
+    the entries held: the memo keeps fewer zero vectors than are counted here.
     """
     if n > MAX_MODES:
         raise ValueError(f"need n <= {MAX_MODES}")
@@ -422,8 +423,6 @@ def audit_counting(N: int, p: int, q: int, kind: Literal[2, 3]) -> MultiplicityA
     threshold produce an all-zero audit; a negative order, or one over
     MAX_ORDER, raises ValueError.
     """
-    if N < 0:
-        raise ValueError("need N >= 0")
     check_order(N)
     classes = _couple_classes(N, p, q, kind)  # checks p and q
     pq = p + q

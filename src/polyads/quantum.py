@@ -295,8 +295,8 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
             try:
                 amp = np.sqrt(sq[src].astype(float))
             except OverflowError:
-                raise ValueError(f"term {t.key} has a ladder amplitude "
-                                 f"past the float range") from None
+                raise ValueError(f"term {(t.kind, t.raise_exps, t.lower_exps, t.num_exps)} "
+                                 "has a ladder amplitude past the float range") from None
             step = sum(s * stride for s, stride in zip(t.shift, strides))
             col, row = local[src], local[where[rows[src] + step]]
             val = t.coeff * (digits[src] * amp)

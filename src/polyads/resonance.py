@@ -148,13 +148,16 @@ def syzygy_residual(spec: ResonanceSpec) -> ZPolynomial:
 
 
 class PhaseCurvePoint(NamedTuple):
-    """A point of the reduced phase space cross-section sigma_-1' = 0."""
+    """One sample of the reduced phase space cross-section sigma_-1' = 0:
+    sigma1, the sigma0' values over it (upper branch first) and the defect
+    of the curve's relation there."""
 
     sigma1: float
-    sigma0p: float
+    branches: tuple[float, ...]
+    residual: float
 
 
-# Most samples one curve takes; each sample gives two points.
+# Most samples one curve takes.
 MAX_SAMPLES = 10 ** 5
 
 
@@ -168,12 +171,10 @@ def _curve_rhs(spec: ResonanceSpec, h0: float, fixed_sigma: Sequence[float],
     return sigma1 ** spec.p * rest ** spec.q
 
 
-def phase_curve_residual(spec: ResonanceSpec, h0: float,
-                         fixed_sigma: Sequence[float],
-                         point: PhaseCurvePoint) -> float:
-    """Defect of the reduced-phase-space relation at ``point``."""
-    rhs = _curve_rhs(spec, h0, fixed_sigma, point.sigma1)
-    return point.sigma0p ** 2 - rhs
+def phase_curve_residual(spec: ResonanceSpec, h0: float, fixed_sigma: Sequence[float],
+                         sigma1: float, sigma0p: float) -> float:
+    """Defect of the reduced-phase-space relation at (sigma1, sigma0p)."""
+    return sigma0p ** 2 - _curve_rhs(spec, h0, fixed_sigma, sigma1)
 
 
 def phase_curve(spec: ResonanceSpec, h0: float,
@@ -181,9 +182,10 @@ def phase_curve(spec: ResonanceSpec, h0: float,
                 samples: int = 101) -> list[PhaseCurvePoint]:
     """Sample the sigma_-1' = 0 cross-section of the reduced phase space.
 
-    sigma1 runs over its admissible interval [0, (p/q)(h0/w2 - rest)] and
-    both branches sigma0' = +/- sqrt(rhs) are emitted per sample. A length
-    zero interval collapses to the single point at the origin.
+    sigma1 runs over its admissible interval [0, (p/q)(h0/w2 - rest)], and
+    each sample carries both branches sigma0' = +/- sqrt(rhs). A length
+    zero interval collapses to the one point at the origin, with the one
+    branch 0.
 
     Raises
     ------
@@ -207,11 +209,9 @@ def phase_curve(spec: ResonanceSpec, h0: float,
     if budget < 0:
         raise ValueError("h0 below the minimum for the requested actions")
     top = (spec.p / spec.q) * budget
+    grid = [top * idx / (samples - 1) for idx in range(samples)] if top else [0.0]
     points: list[PhaseCurvePoint] = []
-    if top == 0.0:
-        return [PhaseCurvePoint(0.0, 0.0)]
-    for idx in range(samples):
-        s1 = top * idx / (samples - 1)
+    for s1 in grid:
         try:
             rhs = _curve_rhs(spec, h0, fixed_sigma, s1)
         except OverflowError:
@@ -219,22 +219,23 @@ def phase_curve(spec: ResonanceSpec, h0: float,
         if not math.isfinite(rhs):
             raise ValueError(f"curve overflows a float at sigma1 = {s1!r}")
         root = math.sqrt(max(rhs, 0.0))
-        points.append(PhaseCurvePoint(s1, root))
-        points.append(PhaseCurvePoint(s1, -root))
+        branches = (root, -root) if top else (0.0,)  # the origin's one branch is +0
+        points.append(PhaseCurvePoint(s1, branches, root ** 2 - rhs))
     return points
 
 
-def write_phase_curve_csv(out: TextIO, points: Sequence[PhaseCurvePoint],
-                          spec: ResonanceSpec, h0: float,
-                          fixed_sigma: Sequence[float] = ()) -> int:
-    """Write the points of ``phase_curve`` as CSV; returns the number of rows."""
+def write_phase_curve_csv(out: TextIO, points: Sequence[PhaseCurvePoint]) -> None:
+    """Write the points of ``phase_curve`` as CSV, one row per point."""
     out.write("sigma1,sigma0p_plus,sigma0p_minus,residual\n")
-    rows = 0
-    for i in range(0, len(points), 2):
-        plus = points[i]
-        minus = points[i + 1] if i + 1 < len(points) else plus
-        residual = phase_curve_residual(spec, h0, fixed_sigma, plus)
-        out.write(f"{plus.sigma1:.17g},{plus.sigma0p:.17g},"
-                  f"{minus.sigma0p:.17g},{residual:.17g}\n")
-        rows += 1
-    return rows
+    out.write("".join(f"{pt.sigma1:.17g},{pt.branches[0]:.17g},{pt.branches[-1]:.17g},"
+                      f"{pt.residual:.17g}\n" for pt in points))
+
+
+def write_phase_curve_json(out: TextIO, points: Sequence[PhaseCurvePoint]) -> None:
+    """Write the points of ``phase_curve`` as indented JSON, one record per
+    branch."""
+    import json
+
+    json.dump([{"sigma1": pt.sigma1, "sigma0p": sigma0p, "residual": pt.residual}
+               for pt in points for sigma0p in pt.branches], out, indent=2)
+    out.write("\n")

@@ -40,6 +40,9 @@ def check_ladder(p: int, q: int) -> None:
 
 
 def check_order(N: int) -> None:
+    """Refuse an expansion order that is negative or over MAX_ORDER."""
+    if N < 0:
+        raise ValueError("need N >= 0")
     if N > MAX_ORDER:
         raise ValueError(f"need N <= {MAX_ORDER}")
 

@@ -62,7 +62,15 @@ def census_models(draw):
     ladders = draw(st.lists(st.tuples(vector, vector).filter(
         lambda rl: rl[0] != rl[1] and sum(rl[0]) + sum(rl[1]) <= order),
         max_size=3, unique=True))
-    extras = [TermSpec("extra", r, lo, (0,) * n) for r, lo in ladders]
+    # one slot per operator: drop a pair that a chosen slot, or an earlier
+    # pair written the other way round, already names
+    keys = {t.key for t in chosen}
+    extras = []
+    for r, lo in ladders:
+        term = TermSpec("extra", r, lo, (0,) * n)
+        if term.key not in keys:
+            keys.add(term.key)
+            extras.append(term)
     values = st.floats(allow_nan=False, allow_infinity=False)
     terms = []
     for t in draw(st.permutations(chosen + extras)):
@@ -130,6 +138,28 @@ class TestModelGrammar:
         assert err.value.line_no == line_no
         assert str(err.value).startswith(f"line {line_no}:")
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("first, second", [
+        ("coupling 1 - 5.0", "extra 1:2 2:1 5.0"),
+        ("coupling 1 - 5.0", "extra 2:1 1:2 5.0"),
+        ("extra 1:2 2:1 5.0", "extra 2:1 1:2 -1.0"),
+        ("extra 2:1 1:2 5.0", "coupling 1 - 5.0"),
+    ], ids=["keyword", "transposed", "extra-transposed", "transposed-first"])
+    def test_one_slot_per_operator(self, capsys, tmp_path, first, second):
+        # every pair is a1+^2 a2 + h.c. in a 2:1 file
+        head = "n=2\np=2\nq=1\norder=6\n"
+        with pytest.raises(ModelFileError) as err:
+            parse_model_text(f"{head}{first}\n{second}\n")
+        assert str(err.value) == f"line 6: duplicate term {second!r}"
+        a, b = (parse_model_text(f"{head}{line}\n").terms[0] for line in (first, second))
+        assert a.key == b.key
+        with pytest.raises(ValueError, match="duplicate term"):
+            HamiltonianModel(ResonanceSpec(2, 2, 1), 6, (a, b))
+        path = tmp_path / "twice.model"
+        path.write_text(f"{head}{first}\n{second}\n")
+        code, out, err = run(capsys, "spectrum", "--model", str(path), "--pmax", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 6: duplicate term {second!r}\n"
 
     def test_header_only_is_a_valid_empty_model(self):
         m = parse_model_text("n=2\np=1\nq=1\norder=4\n")
@@ -213,6 +243,12 @@ class TestCountCommand:
         code, out, err = run(capsys, "count", "--n", "3", "--p", "2", "--q", "1",
                              "--order", order)
         assert (code, out, err) == (2, "", "error: need N >= 0\n")
+
+    @pytest.mark.parametrize("n, order", [("65", "10"), ("100000", "100000")])
+    def test_too_many_modes_is_usage_error(self, capsys, n, order):
+        code, out, err = run(capsys, "count", "--n", n, "--p", "2", "--q", "1",
+                             "--order", order)
+        assert (code, out, err) == (2, "", "error: need n <= 64\n")
 
 
 class TestEnumerateCommand:
@@ -298,6 +334,14 @@ class TestEnumerateCommand:
         code, out, err = run(capsys, "enumerate", *argv, "--format", fmt,
                              "--out", str(out_file))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_negative_coupling_order_is_usage_error(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / "census.out"
+        code, out, err = run(capsys, "enumerate", "--kind", "coupling", "--n", "2",
+                             "--order", "-5", "--format", fmt, "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: need N >= 0\n")
         assert not out_file.exists()
 
     def test_empty_coupling_census_is_an_empty_array(self, capsys):
@@ -614,6 +658,23 @@ class TestPhaseSpaceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("h0, sigma, rows", [("2.5", "0.3", 41), ("0", "0", 1)],
+                             ids=["curve", "origin"])
+    def test_curve_computed_once_per_sample(self, capsys, monkeypatch, fmt, h0, sigma, rows):
+        calls = []
+        curve_rhs = resonance._curve_rhs
+
+        def counted(*args):
+            calls.append(args)
+            return curve_rhs(*args)
+
+        monkeypatch.setattr(resonance, "_curve_rhs", counted)
+        code, _, err = run(capsys, "phase-space", "--p", "2", "--q", "1", "--h0", h0,
+                           "--sigma", sigma, "--samples", "41", "--format", fmt)
+        assert (code, err) == (0, f"rows {rows}\n")
+        assert len(calls) == rows
+
     def test_json_points_carry_residuals(self, capsys):
         code, out, _ = run(capsys, "phase-space", "--p", "2", "--q", "1",
                            "--h0", "2.0", "--samples", "41", "--format", "json")
@@ -708,7 +769,8 @@ class TestPackaging:
     def test_exact_algebra_import_loads_no_dataclasses(self, bare_imports):
         imported = imports_of(["-c", "import polyads.resonance"]) - bare_imports
         assert "polyads.resonance" in imported
-        assert not imported & {"dataclasses", "inspect"}
+        # json only when the phase-curve JSON writer runs
+        assert not imported & {"dataclasses", "inspect", "json"}
 
     def test_package_import_loads_no_submodule(self):
         imported = imports_of(["-c", "import polyads"])

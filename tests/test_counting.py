@@ -179,6 +179,12 @@ class TestTotals:
         with pytest.raises(ValueError, match="N >= 0"):
             totals(3, N, 2, 1)
 
+    def test_rejects_more_modes_than_the_limit(self):
+        assert totals(64, 10 ** 14, 2, 1).n == 64
+        for n in (65, 10 ** 5):
+            with pytest.raises(ValueError, match="^need n <= 64$"):
+                totals(n, 10 ** 5, 2, 1)
+
     def test_order_zero_has_no_terms(self):
         rep = totals(3, 0, 2, 1)
         assert (rep.lam, rep.n_coef, rep.n_op, rep.n_c) == (0, 0, 0, 0)

@@ -297,6 +297,23 @@ class TestCensusLimits:
             with pytest.raises(ValueError, match="exponent entries is over"):
                 check_census(n, blocks)
 
+    def test_negative_coupling_order_raises(self):
+        with pytest.raises(ValueError, match="^need N >= 0$"):
+            coupling_blocks(2, -5, 2, 1)
+        assert coupling_blocks(2, 0, 2, 1) == []
+
+    @pytest.mark.parametrize("n, N, pq", [(6, 30, (1, 1)), (3, 12, (2, 1)), (5, 20, (3, 2))])
+    def test_memo_keys_each_list_once(self, n, N, pq):
+        # a support over the length is clamped, so no list is held twice
+        blocks = census_blocks("both", n, N, *pq)
+        memo: dict = {}
+        for _, _, t, support in blocks:
+            monomials._exponent_vectors(n, t, support, memo, monomials._tuple_row)
+        assert all(support <= length for length, _, support in memo)
+        if (n, N, pq) == (6, 30, (1, 1)):
+            held = sum(map(len, itertools.chain.from_iterable(memo.values())))
+            assert (len(memo), held) == (263, 439_029)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: check_census(65, []), "need n <= 64"),
         (lambda: dunham_blocks(2, 1001), "need N <= 1000"),

@@ -325,7 +325,8 @@ class TestLattices:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=2, max_value=5).flatmap(lambda n: st.lists(
         st.tuples(*[st.integers(min_value=-3, max_value=3)] * n).filter(any),
-        min_size=1, max_size=3, unique=True)))
+        # a shift and its negative are one ladder pair, so one slot
+        min_size=1, max_size=3, unique_by=lambda s: max(s, tuple(-x for x in s)))))
     def test_lattice_is_hermite_z_basis_of_kernel(self, shifts):
         from sympy import Matrix, gcd
 
@@ -709,10 +710,12 @@ class TestBuildBlockOracle:
                 _assert_matches_reference(m, (P, n3), (P, P // 2, n3, n3), merged)
 
     def test_extra_opposite_to_coupling(self):
-        # the extra pair lowers mode 1 by 2 and raises mode 2 by 1: the
-        # reverse of the Fermi shift, so both write the same elements
+        # the extra pairs shift by the reverse of the first and second
+        # Fermi powers, so they and the couplings write the same elements;
+        # their a1+ a1 factor keeps each one an operator of its own, where
+        # a bare ladder would be a coupling slot written backwards
         m = _seeded_model(SPEC21, 10, seed=2,
-                          extras=[((0, 1, 0), (2, 0, 0)), ((0, 2, 0), (4, 0, 0))])
+                          extras=[((1, 1, 0), (3, 0, 0)), ((1, 2, 0), (5, 0, 0))])
         shifts = {t.shift for t in m.off_diagonal_terms()}
         assert {(2, -1, 0), (-2, 1, 0)} <= shifts
         for P in range(0, 20, 2):
@@ -731,9 +734,10 @@ class TestBuildBlockOracle:
 
     def test_clipped_target_on_a_basis_key(self):
         # 1:1 with mode 2 capped at c: the clipped image (n1 - 1, c + 1)
-        # of (n1, c) has the box key of (n1, 0) and the same label
+        # of (n1, c) has the box key of (n1, 0) and the same label; the
+        # extra's a1+ a1 factor keeps it apart from the coupling a1+ a2
         m = _seeded_model(ResonanceSpec(n=2, p=1, q=1), 6, seed=8,
-                          extras=[((0, 1), (1, 0))])
+                          extras=[((1, 1), (2, 0))])
         for P in range(1, 10):
             for cap2 in range(0, 3):
                 _assert_matches_reference(m, (P,), (P, cap2))
@@ -818,7 +822,7 @@ class TestBuildBlockOracle:
         # extras opposite to the Fermi shift, listed before the couplings:
         # every block of one call sums its elements in the per-state order
         m = _seeded_model(SPEC21, 10, seed=2,
-                          extras=[((0, 1, 0), (2, 0, 0)), ((0, 2, 0), (4, 0, 0))])
+                          extras=[((1, 1, 0), (3, 0, 0)), ((1, 2, 0), (5, 0, 0))])
         blocks, _ = spectrum(m, 18, 2)
         assert len(blocks) == 19 * 3
         for b in blocks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import random
 
@@ -25,6 +26,7 @@ from polyads.resonance import (
     syzygy_residual,
     verify_bracket_table,
     write_phase_curve_csv,
+    write_phase_curve_json,
 )
 
 COPRIME_PAIRS = [(p, q) for p in range(1, 5) for q in range(1, p + 1)
@@ -187,31 +189,40 @@ class TestPhaseCurve:
     def test_unison_curve_peaks_at_half(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
         points = phase_curve(spec, 1.0, (), samples=201)
-        top = max(pt.sigma0p for pt in points)
+        assert len(points) == 201
+        assert all(pt.branches == (pt.branches[0], -pt.branches[0]) for pt in points)
+        top = max(pt.branches[0] for pt in points)
         assert top == pytest.approx(0.5, abs=1e-12)
-        peak = max(points, key=lambda pt: pt.sigma0p)
+        peak = max(points, key=lambda pt: pt.branches[0])
         assert peak.sigma1 == pytest.approx(0.5, abs=1e-12)
 
     def test_endpoints_touch_zero(self):
         spec = ResonanceSpec(n=2, p=2, q=1)
         points = phase_curve(spec, 3.0, (), samples=51)
-        assert points[0].sigma0p == 0.0
-        assert points[-1].sigma0p == pytest.approx(0.0, abs=1e-12)
+        assert len(points) == 51
+        assert points[0].branches == (0.0, 0.0)
+        assert points[-1].branches[0] == pytest.approx(0.0, abs=1e-12)
+        assert points[-1].branches[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_residuals_tiny_on_curve(self):
         spec = ResonanceSpec(n=3, p=3, q=2)
         points = phase_curve(spec, 5.0, (0.25,), samples=87)
         for pt in points:
-            assert abs(phase_curve_residual(spec, 5.0, (0.25,), pt)) < 1e-12
+            for sigma0p in pt.branches:
+                residual = phase_curve_residual(spec, 5.0, (0.25,), pt.sigma1, sigma0p)
+                assert residual == pt.residual
+                assert abs(residual) < 1e-12
 
     def test_residual_detects_off_curve_point(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
-        bogus = PhaseCurvePoint(sigma1=0.5, sigma0p=0.9)
-        assert abs(phase_curve_residual(spec, 1.0, (), bogus)) > 0.1
+        assert abs(phase_curve_residual(spec, 1.0, (), 0.5, 0.9)) > 0.1
 
     def test_zero_budget_degenerates_to_origin(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
-        assert phase_curve(spec, 0.0, ()) == [PhaseCurvePoint(0.0, 0.0)]
+        points = phase_curve(spec, 0.0, ())
+        assert points == [PhaseCurvePoint(0.0, (0.0,), 0.0)]
+        # the one branch is +0, so no writer prints -0 for it
+        assert math.copysign(1.0, points[0].branches[0]) == 1.0
 
     def test_validation_errors(self):
         spec = ResonanceSpec(n=3, p=1, q=1)
@@ -241,15 +252,34 @@ class TestPhaseCurve:
     def test_csv_shape_and_rows(self):
         spec = ResonanceSpec(n=2, p=1, q=1)
         buf = io.StringIO()
-        rows = write_phase_curve_csv(buf, phase_curve(spec, 1.0, (), samples=11), spec, 1.0)
+        write_phase_curve_csv(buf, phase_curve(spec, 1.0, (), samples=11))
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "sigma1,sigma0p_plus,sigma0p_minus,residual"
-        assert rows == 11
         assert len(lines) == 12
         for line in lines[1:]:
             s1, plus, minus, res = map(float, line.split(","))
             assert plus >= 0.0 >= minus
             assert abs(res) < 1e-12
+
+    @pytest.mark.parametrize("spec, h0, fixed", [
+        (ResonanceSpec(n=2, p=1, q=1), 0.0, ()),
+        (ResonanceSpec(n=2, p=2, q=1), 3.0, ()),
+        (ResonanceSpec(n=3, p=3, q=2), 5.0, (0.25,)),
+    ], ids=["origin", "2:1", "3:2"])
+    def test_csv_and_json_agree_row_for_row(self, spec, h0, fixed):
+        points = phase_curve(spec, h0, fixed, samples=21)
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_phase_curve_csv(csv_buf, points)
+        write_phase_curve_json(json_buf, points)
+        rows = [tuple(map(float, line.split(",")))
+                for line in csv_buf.getvalue().splitlines()[1:]]
+        records = iter(json.loads(json_buf.getvalue()))
+        assert len(rows) == len(points)
+        for (s1, plus, minus, res), pt in zip(rows, points):
+            branches = (plus,) if len(pt.branches) == 1 else (plus, minus)
+            for sigma0p in branches:
+                assert next(records) == {"sigma1": s1, "sigma0p": sigma0p, "residual": res}
+        assert next(records, None) is None
 
 
 class TestSampleGuard:
