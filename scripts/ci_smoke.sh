@@ -30,6 +30,9 @@ for size in "--n 3 --p 2 --q 1 --order 12" "--n 6 --p 3 --q 2 --order 30"; do
     python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/census.json" > "$TMP/census_stdlib.json"
     cmp "$TMP/census.json" "$TMP/census_stdlib.json"
 done
+# the table streams the same census as the JSON of the last size above
+json_total=$(python -c 'import json, sys; print(len(json.load(open(sys.argv[1]))))' "$TMP/census.json")
+test "$(python -m polyads enumerate --n 6 --p 3 --q 2 --order 30 | tail -n 1)" = "total $json_total"
 # the frozen reference tables regenerate cell for cell
 python -m polyads verify-tables | tail -n 1 | grep -qx "all tables verified"
 # the audit at the benchmark's size recovers the brute-force 3-monomial count
@@ -92,6 +95,10 @@ grep -q "latin.model: line 5: not UTF-8" "$TMP/latin.err"
 printf 'n=2\np=2\nq=1\norder=6\ncoupling 1 - 5.0\nextra 2:1 1:2 5.0\n' > "$TMP/twice.model"
 expect_usage_error python -m polyads spectrum --model "$TMP/twice.model" --pmax 4 2> "$TMP/twice.err"
 grep -q "twice.model: line 6: duplicate term" "$TMP/twice.err"
+# so does a coupling times N3 after the extra pair that writes N3 as a3+ a3
+printf 'n=3\np=2\nq=1\norder=6\nextra 1:2,3:1 2:1,3:1 1.0\ncoupling 1 3:1 -1.0\n' > "$TMP/number.model"
+expect_usage_error python -m polyads spectrum --model "$TMP/number.model" --pmax 4 2> "$TMP/number.err"
+grep -q "number.model: line 6: duplicate term" "$TMP/number.err"
 # exact algebra: the generator bracket table and the syzygy hold, and a
 # product of generators is invariant, all with zero residual; importing the
 # exact algebra loads neither dataclasses, inspect nor json

@@ -29,13 +29,12 @@ def main() -> int:
         count = write_spectrum_csv(fh, rows)
     print(f"{len(blocks)} blocks, {count} levels -> {args.out}")
 
-    diagonal = model.without_couplings()
     print("\nlowest level per small polyad (full vs diagonal-only, cm-1):")
     for block in blocks:
         P, n3 = block.label
         if P > 6 or n3 > 0:
             continue
-        bare = min(dunham_energy(f, diagonal) for f in block.basis)
+        bare = min(dunham_energy(f, model) for f in block.basis)
         full = block.eigenvalues[0]
         print(f"  P={P} n3={n3}: {full:12.4f}  vs  {bare:12.4f}  "
               f"(shift {full - bare:+8.4f})")

@@ -59,8 +59,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .monomials import (census_monomials, check_census, coupling_blocks, dunham_blocks,
-                            write_census_json)
+    from .monomials import (check_census, coupling_blocks, dunham_blocks, write_census_json,
+                            write_census_table)
 
     blocks = []
     if args.kind in ("dunham", "both"):
@@ -68,13 +68,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.kind in ("coupling", "both"):
         blocks += coupling_blocks(args.n, args.order, args.p, args.q)
     check_census(args.n, blocks)
+    write = write_census_json if args.format == "json" else write_census_table
     with _output(args.out) as fh:
-        if args.format == "json":
-            write_census_json(fh, args.n, blocks)
-        else:
-            monos = census_monomials(args.n, blocks)
-            fh.write("".join(m.label() + "\n" for m in monos))
-            fh.write(f"total {len(monos)}\n")
+        write(fh, args.n, blocks)
     return 0
 
 

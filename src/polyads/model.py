@@ -58,15 +58,23 @@ class TermSpec:
 
     @property
     def key(self) -> tuple:
-        """The slot's operator, whichever keyword and orientation wrote it.
+        """The slot's operator, whichever keyword and form wrote it.
 
         A pair whose shift is lexicographically negative is keyed as its
         transpose. Only an "extra" term can shift that way, and it carries
-        no number string, so the swapped pair is the same operator.
+        no number string, so the swapped pair is the same operator. Then a
+        mode lowered once and raised r >= 1 times moves that pair into the
+        number string, a+^r a = a+^(r-1) N: the lowering acts first and N
+        stands rightmost. A mode lowered twice stays, as a+ a^2 = a N - a
+        is two slots.
         """
+        raise_v, lower_v = self.raise_exps, self.lower_exps
         if self.shift < (0,) * len(self.shift):
-            return (self.lower_exps, self.raise_exps, self.num_exps)
-        return (self.raise_exps, self.lower_exps, self.num_exps)
+            raise_v, lower_v = lower_v, raise_v
+        moved = [int(lo == 1 and r > 0) for r, lo in zip(raise_v, lower_v)]
+        return (tuple(r - k for r, k in zip(raise_v, moved)),
+                tuple(lo - k for lo, k in zip(lower_v, moved)),
+                tuple(e + k for e, k in zip(self.num_exps, moved)))
 
     @property
     def shift(self) -> tuple[int, ...]:

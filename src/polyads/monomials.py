@@ -9,8 +9,9 @@ generator; the coupling monomials (k >= 1) use at most two. The rule is a
 list of blocks (m, k, t), each family's in canonical order
 (:meth:`GenMonomial.sort_key`), so no caller sorts them. One memoised
 recursion walks the exponent vectors of a block and builds each one
-either as a tuple, for the :class:`GenMonomial` census, or as its JSON
-text, which :func:`write_census_json` streams with no monomial built. The
+either as a tuple, for the :class:`GenMonomial` census and the labels of
+:func:`write_census_table`, or as its JSON text, for
+:func:`write_census_json`; neither writer builds a monomial. The
 closed-form counts are proved elsewhere (see :mod:`polyads.counting`);
 here live the production enumerator, the direct brute-force oracles, and
 the couple/class/multiplicity audit layer that explains why the raw sums
@@ -26,9 +27,21 @@ from .spec import MAX_CENSUS_ENTRIES, MAX_CENSUS_RECORDS, MAX_MODES, check_ladde
 
 
 class _GenFields(NamedTuple):
+    """The fields of a monomial, unchecked: a census row labels itself
+    without building a :class:`GenMonomial`."""
+
     m_part: Optional[int]
     m_exp: int
     num_exps: tuple[int, ...]
+
+    def label(self) -> str:
+        parts = []
+        if self.m_part is not None:
+            parts.append(f"s{self.m_part}" + (f"^{self.m_exp}" if self.m_exp > 1 else ""))
+        for k, e in enumerate(self.num_exps, start=1):
+            if e:
+                parts.append(f"s{k}" + (f"^{e}" if e > 1 else ""))
+        return " ".join(parts) if parts else "1"
 
 
 class GenMonomial(_GenFields):
@@ -67,47 +80,18 @@ class GenMonomial(_GenFields):
         return (rank, self.m_exp, sum(self.num_exps),
                 tuple(-e for e in self.num_exps))
 
-    def label(self) -> str:
-        parts = []
-        if self.m_part is not None:
-            parts.append(f"s{self.m_part}" + (f"^{self.m_exp}" if self.m_exp > 1 else ""))
-        for k, e in enumerate(self.num_exps, start=1):
-            if e:
-                parts.append(f"s{k}" + (f"^{e}" if e > 1 else ""))
-        return " ".join(parts) if parts else "1"
-
 
 def sort_monomials(monos: Iterable[GenMonomial]) -> list[GenMonomial]:
     return sorted(monos, key=GenMonomial.sort_key)
 
 
-# JSON text of each m_part
-_M_JSON = {None: "null", -1: '"-1"', 0: '"0"'}
-# what json.dumps(indent=2) puts between two action exponents of a record,
-# and after the last one up to the end of the record
-_EXP_SEP = ",\n      "
-_RECORD_TAIL = "\n    ]\n  }"
-
-
-def _record_head(m_part: Optional[int], m_exp: int) -> str:
-    """JSON text of a census record up to its first action exponent."""
-    return (f'  {{\n    "m": {_M_JSON[m_part]},\n    "mExp": {m_exp},\n'
-            f'    "numExps": [\n      ')
-
-
 def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
-    """Serialize monomials, in the order given, as the JSON array text that
-    ``json.dumps(records, indent=2)`` gives, without its pure-Python encoder."""
-    records = [_record_head(m, k) + _EXP_SEP.join(map(str, exps)) + _RECORD_TAIL if exps
-               # an empty vector closes on the line it opens
-               else _record_head(m, k).rstrip() + "]\n  }"
-               for m, k, exps in monos]
-    if not records:
-        return "[]"
-    # the brackets go into the end records, so the one join is the only copy
-    records[0] = "[\n" + records[0]
-    records[-1] += "\n]"
-    return ",\n".join(records)
+    """Serialize monomials, in the order given, as the JSON array text of
+    ``json.dumps(records, indent=2)``."""
+    import json
+
+    return json.dumps([{"m": None if m is None else str(m), "mExp": k, "numExps": list(exps)}
+                       for m, k, exps in monos], indent=2)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -119,6 +103,10 @@ Block = tuple[Optional[int], int, int, int]
 
 def _tuple_row(e: int, rest: tuple[int, ...] = ()) -> tuple[int, ...]:
     return (e, *rest)
+
+
+# what json.dumps(indent=2) puts between two action exponents of a record
+_EXP_SEP = ",\n      "
 
 
 def _text_row(e: int, rest: Optional[str] = None) -> str:
@@ -217,6 +205,18 @@ def census_monomials(n: int, blocks: Iterable[Block]) -> KeysView[GenMonomial]:
     ).keys()
 
 
+def write_census_table(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
+    """Write the label of each monomial of ``blocks`` to ``fh``, one a line,
+    then ``total <count>``, one block at a time; no GenMonomial is built."""
+    memo: dict = {}
+    total = 0
+    for m, k, t, support in blocks:
+        rows = _exponent_vectors(n, t, support, memo, _tuple_row)
+        fh.write("".join(_GenFields(m, k, exps).label() + "\n" for exps in rows))
+        total += len(rows)
+    fh.write(f"total {total}\n")
+
+
 def write_census_json(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
     """Write the monomials of ``blocks`` to ``fh`` as the text of
     ``json.dumps(records, indent=2)`` and a newline, one block at a time.
@@ -225,14 +225,16 @@ def write_census_json(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
     exponent vectors, joined in one piece; no GenMonomial is built.
     """
     memo: dict = {}
+    tail = "\n    ]\n  }"
     empty = True
     for m, k, t, support in blocks:
         rows = _exponent_vectors(n, t, support, memo, _text_row)
         if rows:
-            head = _record_head(m, k)
+            m_text = "null" if m is None else f'"{m}"'
+            head = f'  {{\n    "m": {m_text},\n    "mExp": {k},\n    "numExps": [\n      '
             fh.write(("[\n" if empty else ",\n") + head)
-            fh.write(f"{_RECORD_TAIL},\n{head}".join(rows))
-            fh.write(_RECORD_TAIL)
+            fh.write(f"{tail},\n{head}".join(rows))
+            fh.write(tail)
             empty = False
     fh.write("[]\n" if empty else "\n]\n")
 

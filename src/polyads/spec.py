@@ -21,11 +21,12 @@ MAX_MODES = 64
 # as many couple classes; `audit` takes 0.12 s at order 1000, growing as N^2.
 MAX_ORDER = 1000
 # Most records a census may list, and most exponent entries that the memo of
-# its enumeration may hold (see monomials.check_census). The records bound
-# the table output, which keeps one object per record; the entries bound the
-# memoised vectors, which outgrow the records as n grows. The largest
-# census they accept peaks at 184 MB (n = 8, 3:2, order 30, table output),
-# against 27 MB for n = 6 at order 30.
+# its enumeration may hold (see monomials.check_census). Both `enumerate`
+# formats stream block by block, so what stays in memory is that memo: the
+# records bound its top level, one tuple or JSON text per record, and the
+# entries bound the vectors of every level, which outgrow the records as n
+# grows. The largest census they accept peaks at 150 MB (n = 8, 3:2, order
+# 30, JSON output; 115 MB as a table), against 25 MB for n = 6 at order 30.
 MAX_CENSUS_RECORDS = 500_000
 MAX_CENSUS_ENTRIES = 8_000_000
 

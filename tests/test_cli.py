@@ -45,6 +45,7 @@ omega 2 1500.0
 dunham 1:2 -3.5
 coupling 1 - 0.1
 """
+HEAD_21 = "n=2\np=2\nq=1\norder=6\n"
 
 
 @st.composite
@@ -139,27 +140,41 @@ class TestModelGrammar:
         assert str(err.value).startswith(f"line {line_no}:")
         assert needle in str(err.value)
 
-    @pytest.mark.parametrize("first, second", [
-        ("coupling 1 - 5.0", "extra 1:2 2:1 5.0"),
-        ("coupling 1 - 5.0", "extra 2:1 1:2 5.0"),
-        ("extra 1:2 2:1 5.0", "extra 2:1 1:2 -1.0"),
-        ("extra 2:1 1:2 5.0", "coupling 1 - 5.0"),
-    ], ids=["keyword", "transposed", "extra-transposed", "transposed-first"])
-    def test_one_slot_per_operator(self, capsys, tmp_path, first, second):
-        # every pair is a1+^2 a2 + h.c. in a 2:1 file
-        head = "n=2\np=2\nq=1\norder=6\n"
+    @pytest.mark.parametrize("head, first, second", [
+        (HEAD_21, "coupling 1 - 5.0", "extra 1:2 2:1 5.0"),
+        (HEAD_21, "coupling 1 - 5.0", "extra 2:1 1:2 5.0"),
+        (HEAD_21, "extra 1:2 2:1 5.0", "extra 2:1 1:2 -1.0"),
+        (HEAD_21, "extra 2:1 1:2 5.0", "coupling 1 - 5.0"),
+        ("n=3\np=2\nq=1\norder=6\n", "extra 1:2,3:1 2:1,3:1 1.0", "coupling 1 3:1 -1.0"),
+        (HEAD_21, "extra 1:3 1:1,2:1 1.0", "coupling 1 1:1 2.0"),
+    ], ids=["keyword", "transposed", "extra-transposed", "transposed-first",
+            "number-spectator", "number-ladder"])
+    def test_one_slot_per_operator(self, capsys, tmp_path, head, first, second):
+        # every pair is a1+^2 a2 + h.c. in a 2:1 file, times N3 or N1 in the
+        # last two, where the extra writes the number operator as a+ a
         with pytest.raises(ModelFileError) as err:
             parse_model_text(f"{head}{first}\n{second}\n")
         assert str(err.value) == f"line 6: duplicate term {second!r}"
         a, b = (parse_model_text(f"{head}{line}\n").terms[0] for line in (first, second))
         assert a.key == b.key
+        empty = parse_model_text(head)
         with pytest.raises(ValueError, match="duplicate term"):
-            HamiltonianModel(ResonanceSpec(2, 2, 1), 6, (a, b))
+            HamiltonianModel(empty.spec, empty.order, (a, b))
         path = tmp_path / "twice.model"
         path.write_text(f"{head}{first}\n{second}\n")
         code, out, err = run(capsys, "spectrum", "--model", str(path), "--pmax", "4")
         assert (code, out) == (2, "")
         assert err == f"error: {path}: line 6: duplicate term {second!r}\n"
+
+    def test_mode_lowered_twice_is_its_own_slot(self):
+        # a1+^3 a1^2 a2 = a1+ a2 N1 (N1 - 1) is the sum of two 1:1 coupling
+        # slots, not one of them, so it is a slot beside both
+        text = ("n=2\np=1\nq=1\norder=8\ncoupling 1 1:1 1.0\ncoupling 1 1:2 1.0\n"
+                "extra 1:3 1:2,2:1 1.0\n")
+        m = parse_model_text(text)
+        assert len({t.key for t in m.terms}) == 3
+        assert m.terms[2].key == ((3, 0), (2, 1), (0, 0))
+        assert HamiltonianModel(m.spec, m.order, m.terms[::-1]).slot_count() == 3
 
     def test_header_only_is_a_valid_empty_model(self):
         m = parse_model_text("n=2\np=1\nq=1\norder=4\n")
@@ -176,6 +191,7 @@ class TestFixture:
         assert [t.key for t in slots] == [t.key for t in census_terms(spec, 10)]
         assert extra.kind == "extra"
         assert (m.slot_count(), len(m.off_diagonal_terms()), m.nonzero_count()) == (86, 31, 28)
+        assert len({t.key for t in m.terms}) == 86
 
     def test_fixture_round_trips_byte_for_byte(self):
         m = parse_model_file(str(FIXTURE))
@@ -303,20 +319,21 @@ class TestEnumerateCommand:
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
-    def test_json_builds_no_monomial(self, capsys, monkeypatch):
-        from polyads.monomials import GenMonomial
+    def test_neither_format_builds_a_monomial(self, capsys, monkeypatch):
+        from polyads.monomials import GenMonomial, enumerate_dunham
 
         def refuse(cls, *fields):
             raise AssertionError("GenMonomial built")
 
-        args = ("enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "12")
-        _, table, _ = run(capsys, *args)
         monkeypatch.setattr(GenMonomial, "__new__", refuse)
+        args = ("enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "12")
+        code, table, _ = run(capsys, *args)
+        assert code == 0
         code, out, _ = run(capsys, *args, "--format", "json")
         assert code == 0
-        assert len(json.loads(out)) == int(table.split()[-1])
+        assert len(json.loads(out)) == int(table.split()[-1]) == len(table.splitlines()) - 1
         with pytest.raises(AssertionError, match="GenMonomial built"):
-            run(capsys, *args)  # the guard bites where monomials are built
+            enumerate_dunham(3, 12)  # the guard bites where monomials are built
 
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "dunham", "--n", "1200", "--order", "4"], "need n <= 64"),

@@ -32,6 +32,7 @@ from polyads.monomials import (
     monomials_to_json,
     sort_monomials,
     write_census_json,
+    write_census_table,
 )
 
 st_pq = st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3),
@@ -253,6 +254,32 @@ class TestCensusJsonWriter:
         text = census_json(1, [(-1, 1, 2, 0), (0, 2, 0, 0), (-1, 1, 2, 1)])
         monos = [GenMonomial(0, 2, (0,)), GenMonomial(-1, 1, (2,))]
         assert text == json_oracle(monos) + "\n"
+
+
+def census_table(n, blocks):
+    fh = io.StringIO()
+    write_census_table(fh, n, blocks)
+    return fh.getvalue()
+
+
+class TestCensusTableWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
+           n=st.integers(1, 6), N=st.integers(4, 30),
+           pq=st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 1)]))
+    def test_labels_of_the_census(self, kind, n, N, pq):
+        assume(kind == "dunham" or n >= 2)
+        blocks = census_blocks(kind, n, N, *pq)
+        monos = census_monomials(n, blocks)
+        labels = "".join(m.label() + "\n" for m in monos)
+        assert census_table(n, blocks) == labels + f"total {len(monos)}\n"
+
+    def test_empty_coupling_census(self):
+        assert census_table(3, coupling_blocks(3, 8, 7, 2)) == "total 0\n"
+
+    def test_blocks_without_vectors_write_nothing(self):
+        text = census_table(1, [(-1, 1, 2, 0), (0, 2, 0, 0), (-1, 1, 2, 1)])
+        assert text == "s0^2\ns-1 s1^2\ntotal 2\n"
 
 
 def census_blocks(kind, n, N, p, q):

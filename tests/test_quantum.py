@@ -153,7 +153,7 @@ class TestModel:
 
     @pytest.mark.parametrize("raise_exps,lower_exps", [
         ((3, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)), ((2, 0, 0), (0, 1, 1)),
-        ((0, 2, 0), (1, 0, 0)),
+        ((0, 2, 0), (1, 0, 0)), ((3, 0, 0), (1, 1, 0)),
     ])
     def test_rejects_coupling_off_the_resonance_ladder(self, raise_exps, lower_exps):
         t = TermSpec("coupling", raise_exps, lower_exps, (0, 0, 0), coeff=1.0)
@@ -712,10 +712,11 @@ class TestBuildBlockOracle:
     def test_extra_opposite_to_coupling(self):
         # the extra pairs shift by the reverse of the first and second
         # Fermi powers, so they and the couplings write the same elements;
-        # their a1+ a1 factor keeps each one an operator of its own, where
-        # a bare ladder would be a coupling slot written backwards
+        # their a1+^2 a1^2 factor keeps each one an operator of its own,
+        # where a1+ a1 = N1 would make it a coupling slot times N1 and a
+        # bare ladder a coupling slot written backwards
         m = _seeded_model(SPEC21, 10, seed=2,
-                          extras=[((1, 1, 0), (3, 0, 0)), ((1, 2, 0), (5, 0, 0))])
+                          extras=[((2, 1, 0), (4, 0, 0)), ((2, 2, 0), (6, 0, 0))])
         shifts = {t.shift for t in m.off_diagonal_terms()}
         assert {(2, -1, 0), (-2, 1, 0)} <= shifts
         for P in range(0, 20, 2):
@@ -735,9 +736,10 @@ class TestBuildBlockOracle:
     def test_clipped_target_on_a_basis_key(self):
         # 1:1 with mode 2 capped at c: the clipped image (n1 - 1, c + 1)
         # of (n1, c) has the box key of (n1, 0) and the same label; the
-        # extra's a1+ a1 factor keeps it apart from the coupling a1+ a2
+        # extra's a1+^2 a1^2 factor keeps it apart from the coupling a1+ a2
+        # and from that coupling times N1
         m = _seeded_model(ResonanceSpec(n=2, p=1, q=1), 6, seed=8,
-                          extras=[((1, 1), (2, 0))])
+                          extras=[((2, 1), (3, 0))])
         for P in range(1, 10):
             for cap2 in range(0, 3):
                 _assert_matches_reference(m, (P,), (P, cap2))
@@ -822,7 +824,7 @@ class TestBuildBlockOracle:
         # extras opposite to the Fermi shift, listed before the couplings:
         # every block of one call sums its elements in the per-state order
         m = _seeded_model(SPEC21, 10, seed=2,
-                          extras=[((1, 1, 0), (3, 0, 0)), ((1, 2, 0), (5, 0, 0))])
+                          extras=[((2, 1, 0), (4, 0, 0)), ((2, 2, 0), (6, 0, 0))])
         blocks, _ = spectrum(m, 18, 2)
         assert len(blocks) == 19 * 3
         for b in blocks:
