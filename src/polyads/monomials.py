@@ -8,10 +8,12 @@ k = 0 and t >= 1, diagonal in the quantum picture) may use every action
 generator; the coupling monomials (k >= 1) use at most two. The rule is a
 list of blocks (m, k, t), each family's in canonical order
 (:meth:`GenMonomial.sort_key`), so no caller sorts them. One memoised
-recursion walks the exponent vectors of a block and builds each one
-either as a tuple, for the :class:`GenMonomial` census and the labels of
-:func:`write_census_table`, or as its JSON text, for
-:func:`write_census_json`; neither writer builds a monomial. The
+recursion walks the exponent vectors of a block and builds each one as a
+tuple, for the :class:`GenMonomial` census, as its JSON text, for
+:func:`write_census_json`, or as its label text, for
+:func:`write_census_table`. The writers walk a block one first exponent
+at a time and memoise only the shorter vectors, so they hold one chunk of
+full-length rows at a time and build no monomial. The
 closed-form counts are proved elsewhere (see :mod:`polyads.counting`);
 here live the production enumerator, the direct brute-force oracles, and
 the couple/class/multiplicity audit layer that explains why the raw sums
@@ -27,21 +29,9 @@ from .spec import MAX_CENSUS_ENTRIES, MAX_CENSUS_RECORDS, MAX_MODES, check_ladde
 
 
 class _GenFields(NamedTuple):
-    """The fields of a monomial, unchecked: a census row labels itself
-    without building a :class:`GenMonomial`."""
-
     m_part: Optional[int]
     m_exp: int
     num_exps: tuple[int, ...]
-
-    def label(self) -> str:
-        parts = []
-        if self.m_part is not None:
-            parts.append(f"s{self.m_part}" + (f"^{self.m_exp}" if self.m_exp > 1 else ""))
-        for k, e in enumerate(self.num_exps, start=1):
-            if e:
-                parts.append(f"s{k}" + (f"^{e}" if e > 1 else ""))
-        return " ".join(parts) if parts else "1"
 
 
 class GenMonomial(_GenFields):
@@ -68,6 +58,15 @@ class GenMonomial(_GenFields):
     def _make(cls, fields: Iterable) -> "GenMonomial":
         # the named tuple's own _make, which _replace calls, skips __new__
         return cls(*fields)
+
+    def label(self) -> str:
+        parts = []
+        if self.m_part is not None:
+            parts.append(f"s{self.m_part}" + (f"^{self.m_exp}" if self.m_exp > 1 else ""))
+        for k, e in enumerate(self.num_exps, start=1):
+            if e:
+                parts.append(f"s{k}" + (f"^{e}" if e > 1 else ""))
+        return " ".join(parts) if parts else "1"
 
     def z_degree(self, p: int, q: int) -> int:
         """Total degree in the underlying z variables."""
@@ -101,7 +100,7 @@ def monomials_to_json(monos: Iterable[GenMonomial]) -> str:
 Block = tuple[Optional[int], int, int, int]
 
 
-def _tuple_row(e: int, rest: tuple[int, ...] = ()) -> tuple[int, ...]:
+def _tuple_row(length: int, e: int, rest: tuple[int, ...] = ()) -> tuple[int, ...]:
     return (e, *rest)
 
 
@@ -109,28 +108,58 @@ def _tuple_row(e: int, rest: tuple[int, ...] = ()) -> tuple[int, ...]:
 _EXP_SEP = ",\n      "
 
 
-def _text_row(e: int, rest: Optional[str] = None) -> str:
+def _text_row(length: int, e: int, rest: Optional[str] = None) -> str:
     return str(e) if rest is None else f"{e}{_EXP_SEP}{rest}"
+
+
+def _label_row(n: int) -> Callable:
+    """The row builder of the labels of length-n vectors: the row of a
+    suffix of a given length is the label text of modes n-length+1..n, ""
+    when they are all zero."""
+    def row(length: int, e: int, rest: str = "") -> str:
+        if not e:
+            return rest
+        part = f"s{n - length + 1}" + (f"^{e}" if e > 1 else "")
+        return f"{part} {rest}" if rest else part
+    return row
 
 
 def _exponent_vectors(n: int, total: int, support: int, memo: dict, row: Callable) -> list:
     """Length-n vectors with the given total and at most ``support`` nonzero
     entries, in descending lexicographic order. Each one is built by
-    ``row(e, rest)`` from its first entry and the row of the others, or
-    ``row(e)`` when it has one entry: _tuple_row gives tuples and _text_row
-    the exponents' JSON text. ``memo`` keeps each list built, keyed by the
-    other arguments, so one memo serves one kind of row."""
+    ``row(n, e, rest)`` from its length, its first entry and the row of the
+    others, or ``row(1, e)`` when it has one entry: _tuple_row gives tuples,
+    _text_row the exponents' JSON text and _label_row the label text.
+    ``memo`` keeps each list built, keyed by the other arguments, so one memo
+    serves one kind of row."""
     support = min(support, n)
     key = (n, total, support)
     rows = memo.get(key)
     if rows is None:
         if n == 1:
-            rows = [row(total)] if total == 0 or support else []
+            rows = [row(1, total)] if total == 0 or support else []
         else:
-            rows = [row(e, rest) for e in range(total if support else 0, -1, -1)
+            rows = [row(n, e, rest) for e in range(total if support else 0, -1, -1)
                     for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo, row)]
         memo[key] = rows
     return rows
+
+
+def _vector_chunks(n: int, total: int, support: int, memo: dict, row: Callable) -> Iterator[list]:
+    """The rows of ``_exponent_vectors(n, total, support, memo, row)``, in
+    the same order, as one non-empty list per first entry. Only the shorter
+    vectors go into ``memo``, so a writer that streams the chunks holds one
+    chunk of full-length rows at a time."""
+    support = min(support, n)
+    if n == 1:
+        if total == 0 or support:
+            yield [row(1, total)]
+        return
+    for e in range(total if support else 0, -1, -1):
+        chunk = [row(n, e, rest)
+                 for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo, row)]
+        if chunk:
+            yield chunk
 
 
 def dunham_blocks(n: int, N: int) -> list[Block]:
@@ -171,11 +200,14 @@ def check_census(n: int, blocks: list[Block]) -> None:
     MAX_CENSUS_ENTRIES exponent entries.
 
     Records and entries are counted with math.comb. C(n, j) C(t-1, j-1) vectors of length
-    n have j nonzero entries and total t. The memo holds, for each support
-    s, the vectors of every length m <= n with at most s nonzero entries and
-    a total up to the largest block total t of that support, of which
-    C(m, j) C(t, j) have j nonzero entries. The count is within a third of
-    the entries held: the memo keeps fewer zero vectors than are counted here.
+    n have j nonzero entries and total t. The memo of census_monomials
+    holds, for each support s, the vectors of every length m <= n with at
+    most s nonzero entries and a total up to the largest block total t of
+    that support, of which C(m, j) C(t, j) have j nonzero entries. The count
+    is within a third of the entries held, either way: the memo keeps fewer
+    zero vectors than are counted here, and may keep a vector under more than
+    one support. The census writers memoise only the lengths below n, so for
+    them the count is an upper bound.
     """
     if n > MAX_MODES:
         raise ValueError(f"need n <= {MAX_MODES}")
@@ -207,33 +239,45 @@ def census_monomials(n: int, blocks: Iterable[Block]) -> KeysView[GenMonomial]:
 
 def write_census_table(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
     """Write the label of each monomial of ``blocks`` to ``fh``, one a line,
-    then ``total <count>``, one block at a time; no GenMonomial is built."""
+    then ``total <count>``, one chunk of :func:`_vector_chunks` at a time.
+
+    The label of a record is its mixed part, if any, before the memoised
+    label text of its action exponents; no GenMonomial is built.
+    """
     memo: dict = {}
+    row = _label_row(n)
     total = 0
     for m, k, t, support in blocks:
-        rows = _exponent_vectors(n, t, support, memo, _tuple_row)
-        fh.write("".join(_GenFields(m, k, exps).label() + "\n" for exps in rows))
-        total += len(rows)
+        mixed = "" if m is None else f"s{m}" + (f"^{k}" if k > 1 else "")
+        lead = f"{mixed} " if mixed else ""
+        for chunk in _vector_chunks(n, t, support, memo, row):
+            if t:
+                fh.write(lead + f"\n{lead}".join(chunk) + "\n")
+            else:  # the zero vector, labelled by its mixed part alone
+                fh.write(f"{mixed or '1'}\n")
+            total += len(chunk)
     fh.write(f"total {total}\n")
 
 
 def write_census_json(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
     """Write the monomials of ``blocks`` to ``fh`` as the text of
-    ``json.dumps(records, indent=2)`` and a newline, one block at a time.
+    ``json.dumps(records, indent=2)`` and a newline, one chunk of
+    :func:`_vector_chunks` at a time.
 
-    Each block is its record head and the memoised JSON texts of its
-    exponent vectors, joined in one piece; no GenMonomial is built.
+    Each chunk is written as its records' heads and the JSON texts of their
+    exponent vectors, joined in one piece. Only the texts of the shorter
+    vectors are memoised, so the writer holds one chunk of full-length
+    texts at a time; no GenMonomial is built.
     """
     memo: dict = {}
     tail = "\n    ]\n  }"
     empty = True
     for m, k, t, support in blocks:
-        rows = _exponent_vectors(n, t, support, memo, _text_row)
-        if rows:
-            m_text = "null" if m is None else f'"{m}"'
-            head = f'  {{\n    "m": {m_text},\n    "mExp": {k},\n    "numExps": [\n      '
+        m_text = "null" if m is None else f'"{m}"'
+        head = f'  {{\n    "m": {m_text},\n    "mExp": {k},\n    "numExps": [\n      '
+        for chunk in _vector_chunks(n, t, support, memo, _text_row):
             fh.write(("[\n" if empty else ",\n") + head)
-            fh.write(f"{tail},\n{head}".join(rows))
+            fh.write(f"{tail},\n{head}".join(chunk))
             fh.write(tail)
             empty = False
     fh.write("[]\n" if empty else "\n]\n")

@@ -6,22 +6,20 @@ quanta between the resonant pair and the n action monomials z_k z_k*. This
 module builds them, checks the bracket algebra and the defining relation that
 ties them together, and samples the reduced-phase-space curve.
 :class:`ResonanceSpec` lives in :mod:`polyads.spec`, which loads no exact
-algebra, and is re-exported here.
+algebra, and is re-exported here. The exact algebra (:mod:`polyads.zpoly`
+and :mod:`fractions`) is imported by the functions that use it, so sampling
+a curve, which works in floats, loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from .spec import ResonanceSpec
-from .zpoly import (
-    CR_MINUS_I,
-    ComplexRational,
-    ZPolynomial,
-    poisson_bracket,
-)
+
+if TYPE_CHECKING:
+    from .zpoly import ZPolynomial
 
 
 class GeneratorSet:
@@ -45,6 +43,8 @@ def generators(spec: ResonanceSpec) -> GeneratorSet:
     id -1 is z1*^p z2^q, id 0 is z1^p z2*^q, and id k >= 1 is z_k z_k*.
     Every one of them lies in the kernel of the harmonic adjoint.
     """
+    from .zpoly import ZPolynomial
+
     n, p, q = spec.n, spec.p, spec.q
     zeros = [0] * n
     sig: dict[int, ZPolynomial] = {}
@@ -66,6 +66,8 @@ def generators(spec: ResonanceSpec) -> GeneratorSet:
 
 def h0_polynomial(spec: ResonanceSpec) -> ZPolynomial:
     """The quadratic part -i sum_k w_k z_k z_k* with exact frequencies."""
+    from .zpoly import CR_MINUS_I, ComplexRational, ZPolynomial
+
     gens = generators(spec)
     acc = ZPolynomial.zero(spec.n)
     for k, w in enumerate(spec.exact_omegas(), start=1):
@@ -75,6 +77,8 @@ def h0_polynomial(spec: ResonanceSpec) -> ZPolynomial:
 
 def ad_h0(f: ZPolynomial, spec: ResonanceSpec) -> ZPolynomial:
     """Bracket of the quadratic part with ``f``; zero iff f is invariant."""
+    from .zpoly import poisson_bracket
+
     if f.n != spec.n:
         raise ValueError("polynomial dimension does not match spec")
     return poisson_bracket(h0_polynomial(spec), f)
@@ -110,6 +114,8 @@ def verify_bracket_table(spec: ResonanceSpec) -> list[BracketCheck]:
     Pairs run in id order, so each listed pair has its lower id first; the
     closed form of every unlisted pair is zero.
     """
+    from .zpoly import ComplexRational, ZPolynomial, poisson_bracket
+
     gens = generators(spec)
     p, q = spec.p, spec.q
     table: dict[tuple[int, int], ZPolynomial] = {
@@ -136,6 +142,10 @@ def syzygy_residual(spec: ResonanceSpec) -> ZPolynomial:
     ((s0 + s-1)/2)^2 + ((s0 - s-1)/(2i))^2 - s1^p s2^q, which expands to
     s0 s-1 - s1^p s2^q and must vanish identically.
     """
+    from fractions import Fraction
+
+    from .zpoly import ComplexRational
+
     gens = generators(spec)
     half = ComplexRational.of(Fraction(1, 2))
     minus_half_i = ComplexRational.of(0, Fraction(-1, 2))  # 1/(2i)

@@ -824,7 +824,10 @@ class TestPackaging:
          {"dataclasses", "fractions"}),
         (["spectrum", "--model", str(FIXTURE), "--pmax", "4"],
          {"polyads.resonance", "polyads.zpoly", "fractions"}),
-    ], ids=["help", "count", "verify-tables", "enumerate", "audit", "spectrum"])
+        (["phase-space", "--p", "3", "--q", "2", "--h0", "3.0", "--sigma", "0.2",
+          "--samples", "5"],
+         {"polyads.zpoly", "fractions", "dataclasses"}),
+    ], ids=["help", "count", "verify-tables", "enumerate", "audit", "spectrum", "phase-space"])
     def test_start_up_leaves_unused_modules_unloaded(self, bare_imports, argv, unloaded):
         # modules that site loads on some machines are not the package's doing
         imported = imports_of(["-m", "polyads", *argv]) - bare_imports

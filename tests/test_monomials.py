@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -281,6 +282,42 @@ class TestCensusTableWriter:
         text = census_table(1, [(-1, 1, 2, 0), (0, 2, 0, 0), (-1, 1, 2, 1)])
         assert text == "s0^2\ns-1 s1^2\ntotal 2\n"
 
+    def test_the_empty_monomial_is_labelled_one(self):
+        # no census rule block holds it, but the writer labels it as label() does
+        assert census_table(2, [(None, 0, 0, 2)]) == \
+            GenMonomial(None, 0, (0, 0)).label() + "\ntotal 1\n" == "1\ntotal 1\n"
+
+
+class DiscardSink:
+    def write(self, text):
+        pass
+
+
+class TestCensusWriterMemory:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), total=st.integers(0, 8), support=st.integers(0, 6))
+    def test_chunks_are_the_vectors_by_first_entry(self, n, total, support):
+        memo: dict = {}
+        chunks = list(monomials._vector_chunks(n, total, support, memo, monomials._tuple_row))
+        assert all(chunks)
+        assert all(len({rows[0] for rows in chunk}) == 1 for chunk in chunks)
+        assert all(length < n for length, _, _ in memo)
+        assert [row for chunk in chunks for row in chunk] == \
+            monomials._exponent_vectors(n, total, support, {}, monomials._tuple_row)
+
+    @pytest.mark.parametrize("write", [write_census_json, write_census_table])
+    def test_peak_stays_small_at_the_benchmark_size(self, write):
+        # the n = 6, 3:2, order 30 census holds 54,263 Dunham records; a
+        # writer that kept each record's text would peak near 9 MB
+        blocks = census_blocks("both", 6, 30, 3, 2)
+        tracemalloc.start()
+        try:
+            write(DiscardSink(), 6, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
 
 def census_blocks(kind, n, N, p, q):
     blocks = []
@@ -321,6 +358,23 @@ class TestCensusLimits:
             patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held * 3 // 2)
             check_census(n, blocks)
             patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held * 2 // 3)
+            with pytest.raises(ValueError, match="exponent entries is over"):
+                check_census(n, blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
+           n=st.integers(2, 6), N=st.integers(4, 20), pq=st_pq)
+    def test_entry_count_bounds_the_writer_memo(self, kind, n, N, pq):
+        # the writers memoise the shorter vectors only
+        blocks = census_blocks(kind, n, N, *pq)
+        memo: dict = {}
+        for _, _, t, support in blocks:
+            for _ in monomials._vector_chunks(n, t, support, memo, monomials._tuple_row):
+                pass
+        held = sum(map(len, itertools.chain.from_iterable(memo.values())))
+        assume(held)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held - 1)
             with pytest.raises(ValueError, match="exponent entries is over"):
                 check_census(n, blocks)
 
