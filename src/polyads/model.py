@@ -155,17 +155,16 @@ def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
     One TermSpec per number-only monomial plus one per coupling pair, in
     canonical order; the slot count matches the closed-form coefficient
     total. A pair's two monomials differ only in the mixed generator, and
-    the m = -1 member stands for it.
+    the m = -1 member stands for it, so only the m = -1 blocks are walked.
     """
-    from .monomials import enumerate_coupling, enumerate_dunham
+    from .monomials import census_monomials, coupling_blocks, dunham_blocks
 
-    zero = (0,) * spec.n
-    terms = [TermSpec("dunham", zero, zero, mono.num_exps, 0.0, "0")
-             for mono in enumerate_dunham(spec.n, order)]
-    terms += [coupling_term(spec, mono.m_exp, mono.num_exps, 0.0, "0")
-              for mono in enumerate_coupling(spec.n, order, spec.p, spec.q)
-              if mono.m_part == -1]
-    return tuple(terms)
+    n, zero = spec.n, (0,) * spec.n
+    blocks = dunham_blocks(n, order) + [
+        block for block in coupling_blocks(n, order, spec.p, spec.q) if block[0] == -1]
+    return tuple(TermSpec("dunham", zero, zero, exps, 0.0, "0") if m is None
+                 else coupling_term(spec, k, exps, 0.0, "0")
+                 for m, k, exps in census_monomials(n, blocks))
 
 
 # -- the model-file grammar ------------------------------------------------

@@ -8,14 +8,14 @@ k = 0 and t >= 1, diagonal in the quantum picture) may use every action
 generator; the coupling monomials (k >= 1) use at most two. The rule is a
 list of blocks (m, k, t), each family's in canonical order
 (:meth:`GenMonomial.sort_key`), so no caller sorts them. One memoised
-recursion walks the exponent vectors of a block and builds each one as a
-tuple, for the :class:`GenMonomial` census, as its JSON text, for
+recursion, :func:`_vector_chunks`, walks the exponent vectors of a block
+one first exponent at a time and builds each one as a tuple, for the
+:class:`GenMonomial` census, as its JSON text, for
 :func:`write_census_json`, or as its label text, for
-:func:`write_census_table`. The writers walk a block one first exponent
-at a time and memoise only the shorter vectors, so they hold one chunk of
-full-length rows at a time and build no monomial. The
-closed-form counts are proved elsewhere (see :mod:`polyads.counting`);
-here live the production enumerator, the direct brute-force oracles, and
+:func:`write_census_table`. It memoises only the shorter vectors, so every
+caller holds one chunk of full-length rows at a time; the writers build no
+monomial. The closed-form counts are proved elsewhere (see
+:mod:`polyads.counting`); here live the production enumerator, the direct brute-force oracles, and
 the couple/class/multiplicity audit layer that explains why the raw sums
 over-count and by exactly how much.
 """
@@ -124,40 +124,28 @@ def _label_row(n: int) -> Callable:
     return row
 
 
-def _exponent_vectors(n: int, total: int, support: int, memo: dict, row: Callable) -> list:
-    """Length-n vectors with the given total and at most ``support`` nonzero
-    entries, in descending lexicographic order. Each one is built by
-    ``row(n, e, rest)`` from its length, its first entry and the row of the
-    others, or ``row(1, e)`` when it has one entry: _tuple_row gives tuples,
-    _text_row the exponents' JSON text and _label_row the label text.
-    ``memo`` keeps each list built, keyed by the other arguments, so one memo
-    serves one kind of row."""
-    support = min(support, n)
-    key = (n, total, support)
-    rows = memo.get(key)
-    if rows is None:
-        if n == 1:
-            rows = [row(1, total)] if total == 0 or support else []
-        else:
-            rows = [row(n, e, rest) for e in range(total if support else 0, -1, -1)
-                    for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo, row)]
-        memo[key] = rows
-    return rows
-
-
 def _vector_chunks(n: int, total: int, support: int, memo: dict, row: Callable) -> Iterator[list]:
-    """The rows of ``_exponent_vectors(n, total, support, memo, row)``, in
-    the same order, as one non-empty list per first entry. Only the shorter
-    vectors go into ``memo``, so a writer that streams the chunks holds one
-    chunk of full-length rows at a time."""
+    """Length-n vectors with the given total and at most ``support`` nonzero
+    entries, in descending lexicographic order, as one non-empty list per
+    first entry. Each one is built by ``row(n, e, rest)`` from its length,
+    its first entry and the row of the others, or ``row(1, e)`` when it has
+    one entry: _tuple_row gives tuples, _text_row the exponents' JSON text
+    and _label_row the label text. ``memo`` keeps the chunk lists of the
+    shorter vectors, keyed by the other arguments, so one memo serves one
+    kind of row; a caller that streams the chunks holds one chunk of
+    full-length rows at a time."""
     support = min(support, n)
     if n == 1:
         if total == 0 or support:
             yield [row(1, total)]
         return
+    last = min(support, n - 1)  # the clamped support of the others when e = 0
     for e in range(total if support else 0, -1, -1):
-        chunk = [row(n, e, rest)
-                 for rest in _exponent_vectors(n - 1, total - e, support - (e > 0), memo, row)]
+        key = (n - 1, total - e, support - 1 if e else last)
+        rests = memo.get(key)
+        if rests is None:
+            rests = memo[key] = list(_vector_chunks(*key, memo, row))
+        chunk = [row(n, e, rest) for part in rests for rest in part]
         if chunk:
             yield chunk
 
@@ -200,14 +188,12 @@ def check_census(n: int, blocks: list[Block]) -> None:
     MAX_CENSUS_ENTRIES exponent entries.
 
     Records and entries are counted with math.comb. C(n, j) C(t-1, j-1) vectors of length
-    n have j nonzero entries and total t. The memo of census_monomials
-    holds, for each support s, the vectors of every length m <= n with at
-    most s nonzero entries and a total up to the largest block total t of
-    that support, of which C(m, j) C(t, j) have j nonzero entries. The count
-    is within a third of the entries held, either way: the memo keeps fewer
-    zero vectors than are counted here, and may keep a vector under more than
-    one support. The census writers memoise only the lengths below n, so for
-    them the count is an upper bound.
+    n have j nonzero entries and total t. The entries counted are, for each
+    support s, those of the vectors of every length m <= n with at most s
+    nonzero entries and a total up to the largest block total t of that
+    support, of which C(m, j) C(t, j) have j nonzero entries. Every walk of
+    the census (census_monomials and both writers) memoises only the lengths
+    below n, so the count is an upper bound on the entries held.
     """
     if n > MAX_MODES:
         raise ValueError(f"need n <= {MAX_MODES}")
@@ -228,12 +214,14 @@ def check_census(n: int, blocks: list[Block]) -> None:
 
 def census_monomials(n: int, blocks: Iterable[Block]) -> KeysView[GenMonomial]:
     """The monomials of ``blocks``, in block order, as an ordered set; the
-    blocks of dunham_blocks and coupling_blocks come in sort_key order."""
+    blocks of dunham_blocks and coupling_blocks come in sort_key order. Each
+    block is walked one chunk of :func:`_vector_chunks` at a time."""
     memo: dict = {}
     return dict.fromkeys(
         GenMonomial(m, k, exps)
         for m, k, t, support in blocks
-        for exps in _exponent_vectors(n, t, support, memo, _tuple_row)
+        for chunk in _vector_chunks(n, t, support, memo, _tuple_row)
+        for exps in chunk
     ).keys()
 
 

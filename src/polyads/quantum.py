@@ -350,6 +350,11 @@ def spectrum(model: HamiltonianModel, pmax: int, n3max: int
     ordered by label then by ascending energy within the block. Caps over
     MAX_BOX_STATES candidates, or blocks over MAX_MATRIX_ENTRIES entries
     in all, raise ValueError before any block is built.
+
+    A term whose shift changes (P, n3) is dropped whole: it couples no two
+    states of one block, so it adds nothing to any level. In cloh.model
+    that term is ``extra 3:1 2:3``. Blocking by the model's true conserved
+    lattice (ROADMAP item 1) would keep it.
     """
     spec = model.spec
     if spec.n not in (2, 3):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,7 +83,70 @@ def census_models(draw):
     return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
 
 
+# the tokens a fuzzed term line is made of, the well-formed ones weighted up
+_FUZZ_VALUES = (["0", "-2.5", "753.834", "3e-3", "1e308", "-1e308", "12345678901234567890"] * 3
+                + ["nan", "inf", "-inf", "x"])
+_FUZZ_FACTORS = (["1:1", "2:1", "3:1", "1:2", "2:2", "3:2", "1:3", "2:3", "1:1,2:1",
+                  "2:1,3:1", "1:2,2:1", "1:1,2:2,3:1"] * 3
+                 + ["-", "1:0", "4:1", "1", "1:12345678901234567890", "a:1", "1:1,1:2"])
+_FUZZ_ARITY = {"omega": ["mode"], "dunham": ["factors"], "coupling": ["power", "factors"],
+               "extra": ["factors", "factors"]}
+
+
+@st.composite
+def model_texts(draw):
+    """Model-file text from a token alphabet: a mostly valid 2:1 header and
+    mostly well-formed term lines, some with a token inserted, dropped or
+    replaced, an `=` or a `#` comment."""
+    header = [f"n={draw(st.sampled_from([2, 3]))}", "p=2", "q=1",
+              f"order={draw(st.sampled_from([4, 6, 10]))}"]
+    fault = draw(st.sampled_from([None] * 20 + ["drop", "q=2", "p=4", "order=3", "n=1",
+                                                "order=12345678901234567890", "x=1"]))
+    if fault == "drop":
+        del header[draw(st.integers(0, 3))]
+    elif fault is not None:
+        key = fault.split("=")[0]
+        header = [line for line in header if not line.startswith(f"{key}=")] + [fault]
+    factors = st.sampled_from(_FUZZ_FACTORS)
+    slot = {"mode": st.sampled_from(["1", "2", "3", "0", "12345678901234567890"]),
+            "power": st.sampled_from(["1", "2", "3", "0", "-1"]), "factors": factors}
+    any_token = st.one_of(st.sampled_from([*_FUZZ_ARITY, "-", "#", "=", "n=2"]), factors,
+                          st.sampled_from(_FUZZ_VALUES))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(list(_FUZZ_ARITY)), min_size=1, max_size=6)):
+        tokens = [kind, *(draw(slot[a]) for a in _FUZZ_ARITY[kind]),
+                  draw(st.sampled_from(_FUZZ_VALUES))]
+        noise = draw(st.sampled_from([None] * 12 + ["insert", "drop", "replace", "comment"]))
+        if noise == "drop":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif noise is not None:
+            at = draw(st.integers(0, len(tokens) - (noise == "replace")))
+            tokens[at:at + (noise == "replace")] = ["#" if noise == "comment" else
+                                                    draw(any_token)]
+        lines.append(" ".join(tokens))
+    return "\n".join(draw(st.permutations(header)) + lines) + "\n"
+
+
 class TestModelGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(text=model_texts(), pmax=st.integers(0, 12))
+    def test_fuzzed_text_parses_or_is_refused(self, text, pmax):
+        # hypothesis refuses function-scoped fixtures, so no tmp_path or capsys
+        try:
+            parse_model_text(text)
+        except ModelFileError:
+            parsed = False
+        else:
+            parsed = True
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.model")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["spectrum", "--model", path, "--pmax", str(pmax), "--n3max", "2"])
+        assert code in (0, 2) and (parsed or code == 2)
+
     @settings(max_examples=200, deadline=None)
     @given(census_models())
     def test_census_models_round_trip(self, model):

@@ -8,7 +8,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyads import monomials
@@ -293,17 +293,37 @@ class DiscardSink:
         pass
 
 
+def walk_blocks(n, blocks):
+    """The chunk-list memo left by walking ``blocks`` as census_monomials does."""
+    memo: dict = {}
+    for _, _, t, support in blocks:
+        for _ in monomials._vector_chunks(n, t, support, memo, monomials._tuple_row):
+            pass
+    return memo
+
+
+def memo_entries(memo):
+    """The exponent entries of the tuple rows that a chunk-list memo holds."""
+    return sum(len(row) for chunks in memo.values() for chunk in chunks for row in chunk)
+
+
 class TestCensusWriterMemory:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 5), total=st.integers(0, 8), support=st.integers(0, 6))
+    @example(n=1, total=3, support=1)
+    @example(n=1, total=3, support=0)
+    @example(n=3, total=2, support=0)
+    @example(n=3, total=0, support=0)
+    @example(n=4, total=0, support=2)
     def test_chunks_are_the_vectors_by_first_entry(self, n, total, support):
         memo: dict = {}
         chunks = list(monomials._vector_chunks(n, total, support, memo, monomials._tuple_row))
         assert all(chunks)
         assert all(len({rows[0] for rows in chunk}) == 1 for chunk in chunks)
         assert all(length < n for length, _, _ in memo)
-        assert [row for chunk in chunks for row in chunk] == \
-            monomials._exponent_vectors(n, total, support, {}, monomials._tuple_row)
+        oracle = sorted((v for v in itertools.product(range(total + 1), repeat=n)
+                         if sum(v) == total and sum(map(bool, v)) <= support), reverse=True)
+        assert [row for chunk in chunks for row in chunk] == oracle
 
     @pytest.mark.parametrize("write", [write_census_json, write_census_table])
     def test_peak_stays_small_at_the_benchmark_size(self, write):
@@ -345,33 +365,10 @@ class TestCensusLimits:
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
            n=st.integers(2, 6), N=st.integers(4, 20), pq=st_pq)
-    def test_entry_count_follows_the_memo(self, kind, n, N, pq):
-        # the entries of every vector that enumerating the census memoises
-        blocks = census_blocks(kind, n, N, *pq)
-        memo: dict = {}
-        for _, _, t, support in blocks:
-            monomials._exponent_vectors(n, t, support, memo, monomials._tuple_row)
-        held = sum(map(len, itertools.chain.from_iterable(memo.values())))
-        assume(held)
-        # the count is within a third of what is held
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held * 3 // 2)
-            check_census(n, blocks)
-            patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held * 2 // 3)
-            with pytest.raises(ValueError, match="exponent entries is over"):
-                check_census(n, blocks)
-
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
-           n=st.integers(2, 6), N=st.integers(4, 20), pq=st_pq)
     def test_entry_count_bounds_the_writer_memo(self, kind, n, N, pq):
-        # the writers memoise the shorter vectors only
+        # every walk of the census memoises the shorter vectors only
         blocks = census_blocks(kind, n, N, *pq)
-        memo: dict = {}
-        for _, _, t, support in blocks:
-            for _ in monomials._vector_chunks(n, t, support, memo, monomials._tuple_row):
-                pass
-        held = sum(map(len, itertools.chain.from_iterable(memo.values())))
+        held = memo_entries(walk_blocks(n, blocks))
         assume(held)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held - 1)
@@ -385,15 +382,11 @@ class TestCensusLimits:
 
     @pytest.mark.parametrize("n, N, pq", [(6, 30, (1, 1)), (3, 12, (2, 1)), (5, 20, (3, 2))])
     def test_memo_keys_each_list_once(self, n, N, pq):
-        # a support over the length is clamped, so no list is held twice
-        blocks = census_blocks("both", n, N, *pq)
-        memo: dict = {}
-        for _, _, t, support in blocks:
-            monomials._exponent_vectors(n, t, support, memo, monomials._tuple_row)
-        assert all(support <= length for length, _, support in memo)
+        # a support over the length is clamped, so no chunk list is held twice
+        memo = walk_blocks(n, census_blocks("both", n, N, *pq))
+        assert all(support <= length < n for length, _, support in memo)
         if (n, N, pq) == (6, 30, (1, 1)):
-            held = sum(map(len, itertools.chain.from_iterable(memo.values())))
-            assert (len(memo), held) == (263, 439_029)
+            assert (len(memo), memo_entries(memo)) == (233, 104_751)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: check_census(65, []), "need n <= 64"),
