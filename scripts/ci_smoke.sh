@@ -22,23 +22,23 @@ python -m polyads spectrum --model "$MODEL" --pmax 10 --n3max 1
 n_op=$(python -m polyads count --n 3 --p 2 --q 1 --order 12 --format json |
     python -c 'import json, sys; print(json.load(sys.stdin)["n_op"])')
 test "$(python -m polyads enumerate --n 3 --p 2 --q 1 --order 12 | tail -n 1)" = "total $n_op"
-# the hand-written census JSON is the text the stdlib encoder gives, at the
-# small size, at two edges of the walk by first exponent (one mode; two
-# modes, with zero-total blocks) and at the benchmark's size
+# the hand-written census JSON is the text the stdlib encoder gives, and the
+# table ends with its record count, at the small size, at the edges of the
+# walk by prefix (one mode; two modes, with zero-total blocks), at the
+# benchmark's size and at the largest size the census limits accept
 for size in "--n 3 --p 2 --q 1 --order 12" "--kind dunham --n 1 --order 9" \
-        "--kind coupling --n 2 --p 4 --q 1 --order 7" "--n 6 --p 3 --q 2 --order 30"; do
+        "--kind dunham --n 2 --order 6" "--kind coupling --n 2 --p 4 --q 1 --order 7" \
+        "--n 6 --p 3 --q 2 --order 30" "--n 8 --p 3 --q 2 --order 30"; do
     # shellcheck disable=SC2086
     python -m polyads enumerate $size --format json > "$TMP/census.json"
-    python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1])), indent=2))' "$TMP/census.json" > "$TMP/census_stdlib.json"
+    json_total=$(python -c 'import json, sys
+records = json.load(open(sys.argv[1]))
+open(sys.argv[2], "w").write(json.dumps(records, indent=2) + "\n")
+print(len(records))' "$TMP/census.json" "$TMP/census_stdlib.json")
     cmp "$TMP/census.json" "$TMP/census_stdlib.json"
+    # shellcheck disable=SC2086
+    test "$(python -m polyads enumerate $size | tail -n 1)" = "total $json_total"
 done
-# the table streams the same census as the JSON of the last size above
-json_total=$(python -c 'import json, sys; print(len(json.load(open(sys.argv[1]))))' "$TMP/census.json")
-test "$(python -m polyads enumerate --n 6 --p 3 --q 2 --order 30 | tail -n 1)" = "total $json_total"
-# and so does the two-mode census
-python -m polyads enumerate --kind coupling --n 2 --p 4 --q 1 --order 7 --format json > "$TMP/census.json"
-json_total=$(python -c 'import json, sys; print(len(json.load(open(sys.argv[1]))))' "$TMP/census.json")
-test "$(python -m polyads enumerate --kind coupling --n 2 --p 4 --q 1 --order 7 | tail -n 1)" = "total $json_total"
 # the frozen reference tables regenerate cell for cell
 python -m polyads verify-tables | tail -n 1 | grep -qx "all tables verified"
 # the audit at the benchmark's size recovers the brute-force 3-monomial count

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -39,6 +38,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def _emit_record(data: dict, args: argparse.Namespace) -> None:
     """One flat record as indented JSON, or as an aligned key/value table."""
     if args.format == "json":
+        import json
         text = json.dumps(data, indent=2) + "\n"
     else:
         width = max(map(len, data))
@@ -89,6 +89,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
         return f"{table}[N={key[0]},p+q={key[1]}]"
 
     if args.format == "json":
+        import json
         payload = {
             "cells": len(rows),
             "tables": {t: len(v) for t, v in sorted(per_table.items())},

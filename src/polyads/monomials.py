@@ -8,13 +8,12 @@ k = 0 and t >= 1, diagonal in the quantum picture) may use every action
 generator; the coupling monomials (k >= 1) use at most two. The rule is a
 list of blocks (m, k, t), each family's in canonical order
 (:meth:`GenMonomial.sort_key`), so no caller sorts them. One memoised
-recursion, :func:`_vector_chunks`, walks the exponent vectors of a block
-one first exponent at a time and builds each one as a tuple, for the
-:class:`GenMonomial` census, as its JSON text, for
-:func:`write_census_json`, or as its label text, for
-:func:`write_census_table`. It memoises only the shorter vectors, so every
-caller holds one chunk of full-length rows at a time; the writers build no
-monomial. The closed-form counts are proved elsewhere (see
+recursion, :func:`_vector_chunks`, builds exponent vectors as tuples (for
+the :class:`GenMonomial` census), JSON texts (:func:`write_census_json`)
+or label texts (:func:`write_census_table`). Every census walk streams a
+block through :func:`_prefix_chunks` one prefix of its first one or two
+exponents at a time, so no memoised suffix longer than n - 2 may have over
+two nonzero entries; the writers build no monomial. The closed-form counts are proved elsewhere (see
 :mod:`polyads.counting`); here live the production enumerator, the direct brute-force oracles, and
 the couple/class/multiplicity audit layer that explains why the raw sums
 over-count and by exactly how much.
@@ -132,8 +131,7 @@ def _vector_chunks(n: int, total: int, support: int, memo: dict, row: Callable) 
     one entry: _tuple_row gives tuples, _text_row the exponents' JSON text
     and _label_row the label text. ``memo`` keeps the chunk lists of the
     shorter vectors, keyed by the other arguments, so one memo serves one
-    kind of row; a caller that streams the chunks holds one chunk of
-    full-length rows at a time."""
+    kind of row; the census walks call it through :func:`_prefix_chunks`."""
     support = min(support, n)
     if n == 1:
         if total == 0 or support:
@@ -148,6 +146,23 @@ def _vector_chunks(n: int, total: int, support: int, memo: dict, row: Callable) 
         chunk = [row(n, e, rest) for part in rests for rest in part]
         if chunk:
             yield chunk
+
+
+def _prefix_chunks(n: int, total: int, support: int, memo: dict, row: Callable) -> Iterator[tuple]:
+    """The vectors of :func:`_vector_chunks`, in order, as (prefix, memoised suffix rows); the
+    prefix is two entries if n > 3 and over two may be nonzero, else one (none at n = 1)."""
+    levels = 2 if n > 3 and support > 2 else min(1, n - 1)
+    pairs = [((), total, min(support, n))]
+    for length in range(n, n - levels, -1):
+        pairs = [((*prefix, e), t - e, s - 1 if e else min(s, length - 1))
+                 for prefix, t, s in pairs for e in range(t if s else 0, -1, -1)]
+    for prefix, t, s in pairs:
+        key = (n - levels, t, s)
+        if key not in memo:
+            memo[key] = list(_vector_chunks(*key, memo, row))
+        rows = [rest for part in memo[key] for rest in part]
+        if rows:
+            yield prefix, rows
 
 
 def dunham_blocks(n: int, N: int) -> list[Block]:
@@ -192,8 +207,8 @@ def check_census(n: int, blocks: list[Block]) -> None:
     support s, those of the vectors of every length m <= n with at most s
     nonzero entries and a total up to the largest block total t of that
     support, of which C(m, j) C(t, j) have j nonzero entries. Every walk of
-    the census (census_monomials and both writers) memoises only the lengths
-    below n, so the count is an upper bound on the entries held.
+    the census memoises only suffixes, none longer than n - 2 with over two
+    nonzero entries, so the count is an upper bound on the entries held.
     """
     if n > MAX_MODES:
         raise ValueError(f"need n <= {MAX_MODES}")
@@ -215,57 +230,61 @@ def check_census(n: int, blocks: list[Block]) -> None:
 def census_monomials(n: int, blocks: Iterable[Block]) -> KeysView[GenMonomial]:
     """The monomials of ``blocks``, in block order, as an ordered set; the
     blocks of dunham_blocks and coupling_blocks come in sort_key order. Each
-    block is walked one chunk of :func:`_vector_chunks` at a time."""
+    block is walked one prefix of :func:`_prefix_chunks` at a time."""
     memo: dict = {}
     return dict.fromkeys(
-        GenMonomial(m, k, exps)
+        GenMonomial(m, k, (*prefix, *rest))
         for m, k, t, support in blocks
-        for chunk in _vector_chunks(n, t, support, memo, _tuple_row)
-        for exps in chunk
+        for prefix, rests in _prefix_chunks(n, t, support, memo, _tuple_row)
+        for rest in rests
     ).keys()
 
 
 def write_census_table(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
     """Write the label of each monomial of ``blocks`` to ``fh``, one a line,
-    then ``total <count>``, one chunk of :func:`_vector_chunks` at a time.
+    then ``total <count>``, one prefix of :func:`_prefix_chunks` at a time.
 
-    The label of a record is its mixed part, if any, before the memoised
-    label text of its action exponents; no GenMonomial is built.
+    A label is the mixed part and the prefix label before the memoised
+    label of the suffix; no GenMonomial is built.
     """
     memo: dict = {}
+    heads: dict = {}  # the head of each (mixed part, prefix): prefixes recur from block to block
     row = _label_row(n)
     total = 0
     for m, k, t, support in blocks:
         mixed = "" if m is None else f"s{m}" + (f"^{k}" if k > 1 else "")
-        lead = f"{mixed} " if mixed else ""
-        for chunk in _vector_chunks(n, t, support, memo, row):
-            if t:
-                fh.write(lead + f"\n{lead}".join(chunk) + "\n")
-            else:  # the zero vector, labelled by its mixed part alone
-                fh.write(f"{mixed or '1'}\n")
-            total += len(chunk)
+        for prefix, labels in _prefix_chunks(n, t, support, memo, row):
+            head = heads.get((mixed, prefix)) or heads.setdefault((mixed, prefix), " ".join(
+                filter(None, [mixed, *map(row, range(n, 0, -1), prefix)])))
+            lead = f"{head} " if head else ""
+            if not labels[0]:  # one record, whose zero-total suffix is labelled ""
+                lead, labels = "", [head or "1"]
+            fh.write(lead + f"\n{lead}".join(labels) + "\n")
+            total += len(labels)
     fh.write(f"total {total}\n")
 
 
 def write_census_json(fh: TextIO, n: int, blocks: Iterable[Block]) -> None:
     """Write the monomials of ``blocks`` to ``fh`` as the text of
-    ``json.dumps(records, indent=2)`` and a newline, one chunk of
-    :func:`_vector_chunks` at a time.
+    ``json.dumps(records, indent=2)`` and a newline, one prefix of
+    :func:`_prefix_chunks` at a time.
 
-    Each chunk is written as its records' heads and the JSON texts of their
-    exponent vectors, joined in one piece. Only the texts of the shorter
-    vectors are memoised, so the writer holds one chunk of full-length
-    texts at a time; no GenMonomial is built.
+    The memoised JSON texts of a prefix's suffixes are joined in one piece
+    by the tail of a record, the head of the next and the prefix text, so
+    no text longer than a suffix is built; no GenMonomial is built.
     """
     memo: dict = {}
+    leads: dict = {}  # the JSON text of each prefix, which recurs from block to block
     tail = "\n    ]\n  }"
     empty = True
     for m, k, t, support in blocks:
         m_text = "null" if m is None else f'"{m}"'
         head = f'  {{\n    "m": {m_text},\n    "mExp": {k},\n    "numExps": [\n      '
-        for chunk in _vector_chunks(n, t, support, memo, _text_row):
-            fh.write(("[\n" if empty else ",\n") + head)
-            fh.write(f"{tail},\n{head}".join(chunk))
+        for prefix, texts in _prefix_chunks(n, t, support, memo, _text_row):
+            lead = head + (leads.get(prefix) or leads.setdefault(
+                prefix, "".join([f"{e}{_EXP_SEP}" for e in prefix])))
+            fh.write(("[\n" if empty else ",\n") + lead)
+            fh.write(f"{tail},\n{lead}".join(texts))
             fh.write(tail)
             empty = False
     fh.write("[]\n" if empty else "\n]\n")

@@ -21,13 +21,11 @@ MAX_MODES = 64
 # as many couple classes; `audit` takes 0.12 s at order 1000, growing as N^2.
 MAX_ORDER = 1000
 # Most records a census may list, and most exponent entries that the memo of
-# its enumeration may hold (see monomials.check_census). The one census walk
-# streams a block one first exponent at a time and memoises only the
-# shorter vectors, for both `enumerate` formats and census_monomials alike,
-# so what stays in memory is that memo, whose entries the count bounds from
-# above; the records bound the output and its time. The
-# largest census they accept peaks at 67 MB (n = 8, 3:2, order 30, JSON
-# output; 36 MB as a table), against 18 MB for n = 6 at order 30.
+# its enumeration may hold (see monomials.check_census). Every census walk
+# memoises only exponent suffixes, so what stays in memory is that memo, whose
+# entries the count bounds from above; the records bound the output and its
+# time. The largest census they accept peaks at 26 MB RSS (n = 8, 3:2, order
+# 30, JSON; 20 MB as a table), against 15.7 MB for n = 6 at order 30.
 MAX_CENSUS_RECORDS = 500_000
 MAX_CENSUS_ENTRIES = 8_000_000
 

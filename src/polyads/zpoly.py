@@ -223,6 +223,8 @@ class ZPolynomial:
         if not isinstance(other, ZPolynomial):
             return NotImplemented
         _check_same_n(self, other)
+        if self is (one := ZPolynomial.one(self.n)) or other is one:  # the cached identity
+            return other if self is one else self
         _check_degree(self.degree() + other.degree())
         out: dict[int, tuple[int, int]] = {}
         get = out.get

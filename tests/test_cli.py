@@ -880,19 +880,19 @@ class TestPackaging:
         assert not imported & unused
 
     @pytest.mark.parametrize("argv, unloaded", [
-        (["--help"], {"dataclasses", "fractions"}),
+        (["--help"], {"dataclasses", "fractions", "json"}),
         (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
          {"dataclasses", "fractions"}),
         (["verify-tables"], {"dataclasses", "fractions"}),
         (["enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
-         {"dataclasses", "fractions"}),
+         {"dataclasses", "fractions", "json"}),
         (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],
          {"dataclasses", "fractions"}),
         (["spectrum", "--model", str(FIXTURE), "--pmax", "4"],
-         {"polyads.resonance", "polyads.zpoly", "fractions"}),
+         {"polyads.resonance", "polyads.zpoly", "fractions", "json"}),
         (["phase-space", "--p", "3", "--q", "2", "--h0", "3.0", "--sigma", "0.2",
           "--samples", "5"],
-         {"polyads.zpoly", "fractions", "dataclasses"}),
+         {"polyads.zpoly", "fractions", "dataclasses", "json"}),
     ], ids=["help", "count", "verify-tables", "enumerate", "audit", "spectrum", "phase-space"])
     def test_start_up_leaves_unused_modules_unloaded(self, bare_imports, argv, unloaded):
         # modules that site loads on some machines are not the package's doing

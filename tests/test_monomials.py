@@ -325,18 +325,60 @@ class TestCensusWriterMemory:
                          if sum(v) == total and sum(map(bool, v)) <= support), reverse=True)
         assert [row for chunk in chunks for row in chunk] == oracle
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), total=st.integers(0, 8), support=st.integers(0, 6))
+    @example(n=1, total=3, support=0)
+    @example(n=2, total=3, support=1)
+    @example(n=3, total=0, support=0)
+    @example(n=3, total=4, support=0)
+    @example(n=5, total=0, support=2)
+    def test_prefixes_join_to_the_vectors(self, n, total, support):
+        memo: dict = {}
+        pairs = list(monomials._prefix_chunks(n, total, support, memo, monomials._tuple_row))
+        # two streamed entries where a suffix could hold over two nonzero ones
+        levels = 2 if n > 3 and support > 2 else min(1, n - 1)
+        assert all(len(prefix) == levels and rows for prefix, rows in pairs)
+        assert len({prefix for prefix, _ in pairs}) == len(pairs)
+        oracle = sorted((v for v in itertools.product(range(total + 1), repeat=n)
+                         if sum(v) == total and sum(map(bool, v)) <= support), reverse=True)
+        assert [(*prefix, *rest) for prefix, rows in pairs for rest in rows] == oracle
+
+    @pytest.mark.parametrize("n, N, pq", [(3, 12, (2, 1)), (4, 20, (1, 1)), (6, 30, (3, 2)),
+                                          (8, 30, (3, 2))])
+    def test_memo_holds_no_long_suffix_with_over_two_nonzero_entries(self, n, N, pq):
+        # the Dunham suffixes stop at length n - 2; only suffixes of at most
+        # two nonzero entries, the coupling ones and all at n = 3, are longer
+        for row in (monomials._tuple_row, monomials._text_row, monomials._label_row(n)):
+            memo: dict = {}
+            for _, _, t, support in census_blocks("both", n, N, *pq):
+                for _ in monomials._prefix_chunks(n, t, support, memo, row):
+                    pass
+            assert memo and all(length <= n - 2 or support <= 2 for length, _, support in memo)
+
     @pytest.mark.parametrize("write", [write_census_json, write_census_table])
     def test_peak_stays_small_at_the_benchmark_size(self, write):
         # the n = 6, 3:2, order 30 census holds 54,263 Dunham records; a
-        # writer that kept each record's text would peak near 9 MB
-        blocks = census_blocks("both", 6, 30, 3, 2)
-        tracemalloc.start()
-        try:
-            write(DiscardSink(), 6, blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        # writer that held the texts of the length-5 suffixes would peak near
+        # 2.7 MB as JSON and 1.5 MB as a table
+        assert writer_peak(write, 6) < 1_000_000
+
+    @pytest.mark.parametrize("write", [write_census_json, write_census_table])
+    def test_peak_stays_small_at_the_largest_size(self, write):
+        # n = 8, 3:2, order 30 is the largest census the limits accept; a
+        # writer that held the texts of the length-7 suffixes would peak near
+        # 40 MB as JSON and 17 MB as a table
+        assert writer_peak(write, 8) < 10_000_000
+
+
+def writer_peak(write, n):
+    """The tracemalloc peak of writing the n-mode, 3:2, order-30 census."""
+    blocks = census_blocks("both", n, 30, 3, 2)
+    tracemalloc.start()
+    try:
+        write(DiscardSink(), n, blocks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def census_blocks(kind, n, N, p, q):

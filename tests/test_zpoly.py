@@ -111,6 +111,22 @@ class TestZPolynomial:
         assert (z * ZPolynomial.zero(2)).is_zero()
         assert not z.is_zero()
 
+    @settings(max_examples=40, deadline=None)
+    @given(f=st_poly(2))
+    def test_product_with_the_identity_is_the_other_operand(self, f):
+        one = ZPolynomial.one(2)
+        assert one * f is f
+        assert f * one is f
+        assert one * one is one
+
+    def test_product_with_the_identity_checks_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ZPolynomial.one(2) * ZPolynomial.var(3, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ZPolynomial.var(3, 1) * ZPolynomial.one(2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ZPolynomial.one(2) * ZPolynomial.one(3)
+
     def test_power_matches_repeated_product(self):
         z = ZPolynomial.var(2, 1) + ZPolynomial.var_conj(2, 2)
         assert z ** 3 == z * z * z
