@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -171,20 +171,38 @@ def state_label(f: FockState, lattice: Sequence[Sequence[int]]) -> tuple[int, ..
 
 @dataclass(frozen=True, eq=False)
 class PolyadBlock:
-    """One conserved-label block: basis, matrix and its spectrum."""
+    """One conserved-label block: its basis and its spectrum.
+
+    The call that diagonalises a block does not keep its matrix. The first
+    read of ``matrix`` assembles it again, through the same assembler, over
+    the smallest caps box that holds the basis, and caches it read-only:
+    every branch that stays in the block stays in that box, so the entries
+    are the same bit for bit, and no eigensolve runs.
+    """
 
     label: tuple[int, ...]
     basis: tuple[FockState, ...]
-    matrix: np.ndarray
     eigenvalues: tuple[float, ...]
+    # model, tight caps and lattice that rebuild the matrix
+    _source: tuple = field(repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        model, caps, lattice = self._source
+        (*_, mat), = _assemble(model, caps, lattice, _has_label(self.label))
+        mat.flags.writeable = False
+        return mat
 
 
 # Largest caps box a call allocates: every candidate occupation vector is
 # one int64 row, about 100 MB at n = 3.
 MAX_BOX_STATES = 2 ** 22
-# Largest sum of dim ** 2 over the blocks of a call: one float64 buffer
-# holds every block matrix, so this holds it to 32 MB.
+# Largest sum of dim ** 2 over the blocks of a call: a bound on the
+# assembly and eigensolve work of one call, not on its memory.
 MAX_MATRIX_ENTRIES = 2 ** 22
+# Largest sum of dim ** 2 assembled into one float64 buffer (512 KB); a
+# larger block is a chunk of its own.
+CHUNK_ENTRIES = 2 ** 16
 
 
 def _number_factors(occ: np.ndarray, exps: Sequence[int]) -> np.ndarray:
@@ -212,16 +230,30 @@ def _ladder_table(low: int, high: int, dim: int) -> list[int]:
             if low <= v and v - low + high < dim else 0 for v in range(dim)]
 
 
-def _blocks(model: HamiltonianModel, caps: Sequence[int],
-            lattice: Sequence[Sequence[int]],
-            select: Callable[[np.ndarray], np.ndarray]) -> list[PolyadBlock]:
-    """Assemble the blocks of the caps box whose labels pass ``select``.
+def _has_label(label: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda labels: np.all(labels == label, axis=1)
+
+
+def _assemble(model: HamiltonianModel, caps: Sequence[int],
+              lattice: Sequence[Sequence[int]],
+              select: Callable[[np.ndarray], np.ndarray]
+              ) -> Iterator[tuple[tuple[int, ...], tuple[FockState, ...], tuple[int, ...],
+                                  np.ndarray]]:
+    """Label, basis, tight caps and matrix of each block of the caps box
+    whose labels pass ``select``, one chunk of blocks at a time.
 
     ``select`` maps the labels of the box rows to a mask. Blocks come in
-    label order, each basis lexicographic. Caps over MAX_BOX_STATES
+    label order, each basis lexicographic; a block's tight caps are the
+    largest occupation of each mode in its basis. Caps over MAX_BOX_STATES
     candidates, or blocks over MAX_MATRIX_ENTRIES entries in all, raise
-    ValueError before anything is allocated or assembled; so does a block
-    with an entry that is not finite, before it is diagonalised.
+    ValueError before anything is allocated or assembled; so does a chunk
+    with an entry that is not finite, before any of its blocks is yielded.
+
+    Consecutive blocks share one float64 buffer while their entries stay
+    within CHUNK_ENTRIES, and the matrices yielded are views of it: a
+    consumer that keeps only what it derives from them holds at most two
+    chunks at once. Each term's label test, ladder tables, integer type and
+    box step are prepared once per call; the chunk loop only gathers.
 
     A state's key is its box row, and each term is applied once to every
     kept state. A term whose shift changes the label leaves every block and
@@ -237,8 +269,7 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     the basis, sums the raising branches from a, whose shifts are
     lexicographically positive, before those from b, whose shifts are
     negative. Running the positive shifts first, each group in model order,
-    therefore gives the matrix assembled state by state. The block matrices
-    are views of one buffer.
+    therefore gives the matrix assembled state by state.
     """
     n = model.spec.n
     dims = [max(c, -1) + 1 for c in caps]
@@ -263,58 +294,95 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
     if entries > MAX_MATRIX_ENTRIES:
         raise ValueError(f"blocks hold {entries} matrix entries, "
                          f"over the limit of {MAX_MATRIX_ENTRIES}")
-    where = np.full(size, -1)
-    where[rows] = np.arange(len(rows))
+    # the first block of each chunk; a chunk closes before it would pass
+    # CHUNK_ENTRIES, so a block over that is a chunk of its own
+    starts, filled = [], 0
+    for i, a in enumerate(area.tolist()):
+        if not starts or filled + a > CHUNK_ENTRIES:
+            starts.append(i)
+            filled = 0
+        filled += a
+    ends = starts[1:] + [len(area)]
     offset = np.cumsum(area) - area
-    local = np.arange(len(rows)) - np.repeat(first, dim)  # position in the block
-    width, base = np.repeat(dim, dim), np.repeat(offset, dim)
-    diagonal = base + local * (width + 1)
+    offset -= np.repeat(offset[starts], np.diff([*starts, len(area)]))  # within the chunk
     occ = box[rows]
+    # per state: its position in its block, by box row, and the buffer
+    # positions of the first entries of its column and of its row
+    local = np.arange(len(rows)) - np.repeat(first, dim)
+    width = np.repeat(dim, dim)
+    column = np.repeat(offset, dim) + local
+    row = column + local * (width - 1)
+    position = np.full(size, -1)
+    position[rows] = local
     strides = [math.prod(dims[k + 1:]) for k in range(n)]
-    buf = np.zeros(entries)
     ladder_table = functools.cache(_ladder_table)  # terms share tables; this call only
-    terms = [t for t in model.terms if t.coeff != 0.0]
+    terms = [t for t in model.terms if t.coeff != 0.0 and not np.any(lat @ t.shift)]
     terms.sort(key=lambda t: t.shift < (0,) * n)
-    # huge coefficients overflow to inf here; the check below rejects them
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in terms:
-            if np.any(lat @ t.shift):
-                continue
-            digits = _number_factors(occ, t.num_exps)
-            if t.kind == "dunham":
-                buf[diagonal] += t.coeff * digits
-                continue
-            tables = [(k, ladder_table(low, high, dims[k]))
-                      for k, (low, high) in enumerate(zip(t.lower_exps, t.raise_exps))
-                      if low or high]
-            dtype = np.int64 if math.prod(max(tab) for _, tab in tables) < 2 ** 63 else object
-            sq = np.ones(len(occ), dtype=dtype)
-            for k, tab in tables:
-                sq = sq * np.array(tab, dtype=dtype)[occ[:, k]]
-            src = np.flatnonzero((digits != 0.0) & (sq != 0))
-            try:
-                amp = np.sqrt(sq[src].astype(float))
-            except OverflowError:
-                raise ValueError(f"term {(t.kind, t.raise_exps, t.lower_exps, t.num_exps)} "
-                                 "has a ladder amplitude past the float range") from None
-            step = sum(s * stride for s, stride in zip(t.shift, strides))
-            col, row = local[src], local[where[rows[src] + step]]
-            val = t.coeff * (digits[src] * amp)
-            buf[base[src] + row * width[src] + col] += val  # distinct within one term
-            buf[base[src] + col * width[src] + row] += val
-    bad = ~np.isfinite(buf)
-    if bad.any():
-        label = keys[first[np.searchsorted(offset, np.argmax(bad), side="right") - 1]]
-        raise ValueError(f"block {tuple(label.tolist())} has matrix entries that are not finite")
-    states = list(map(tuple, occ.tolist()))
-    blocks = []
-    for label, i, d, o in zip(keys[first].tolist(), first.tolist(), dim.tolist(),
-                              offset.tolist()):
-        mat = buf[o:o + d * d].reshape(d, d)
-        blocks.append(PolyadBlock(label=tuple(label), basis=tuple(states[i:i + d]),
-                                  matrix=mat,
-                                  eigenvalues=tuple(np.linalg.eigvalsh(mat).tolist())))
-    return blocks
+    prepared = []  # (term, ladder tables by mode, box step); no tables for Dunham terms
+    for t in terms:
+        if t.kind == "dunham":
+            prepared.append((t, None, 0))
+            continue
+        tables = [(k, ladder_table(low, high, dims[k]))
+                  for k, (low, high) in enumerate(zip(t.lower_exps, t.raise_exps))
+                  if low or high]
+        dtype = np.int64 if math.prod(max(tab) for _, tab in tables) < 2 ** 63 else object
+        prepared.append((t, [(k, np.array(tab, dtype=dtype)) for k, tab in tables],
+                         sum(s * stride for s, stride in zip(t.shift, strides))))
+    for b0, b1 in zip(starts, ends):
+        r0, r1 = first[b0], first[b1 - 1] + dim[b1 - 1]
+        part, box_row = occ[r0:r1], rows[r0:r1]
+        at_col, at_row, wide = column[r0:r1], row[r0:r1], width[r0:r1]
+        buf = np.zeros(offset[b1 - 1] + area[b1 - 1])
+        diagonal = np.zeros(len(part))  # only the Dunham terms write it, and nothing else
+        # huge coefficients overflow to inf here; the check below rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, tables, step in prepared:
+                digits = _number_factors(part, t.num_exps)
+                if tables is None:
+                    diagonal += t.coeff * digits
+                    continue
+                (k, tab), *rest = tables
+                sq = tab[part[:, k]]
+                for k, tab in rest:
+                    sq = sq * tab[part[:, k]]
+                src = np.flatnonzero((digits != 0.0) & (sq != 0))
+                try:
+                    amp = np.sqrt(sq[src].astype(float))
+                except OverflowError:
+                    raise ValueError(f"term {(t.kind, t.raise_exps, t.lower_exps, t.num_exps)} "
+                                     "has a ladder amplitude past the float range") from None
+                val = t.coeff * (digits[src] * amp)
+                target = position[box_row[src] + step]
+                buf[at_col[src] + target * wide[src]] += val  # distinct within one term
+                buf[at_row[src] + target] += val
+            buf[at_row + local[r0:r1]] = diagonal
+            # finite entries can sum past the float range, so only a sum that
+            # is not finite calls for the scan
+            total = buf.sum()
+        bad = np.flatnonzero(~np.isfinite(buf)) if not np.isfinite(total) else []
+        if len(bad):
+            block = b0 + np.searchsorted(offset[b0:b1], bad[0], side="right") - 1
+            raise ValueError(f"block {tuple(keys[first[block]].tolist())} has matrix entries "
+                             "that are not finite")
+        states = list(map(tuple, part.tolist()))
+        tops = np.maximum.reduceat(part, first[b0:b1] - r0).tolist()
+        for i, label, top in zip(range(b0, b1), keys[first[b0:b1]].tolist(), tops):
+            o, d, s = offset[i], dim[i], first[i] - r0
+            yield (tuple(label), tuple(states[s:s + d]), tuple(top),
+                   buf[o:o + d * d].reshape(d, d))
+        del buf
+
+
+def _blocks(model: HamiltonianModel, caps: Sequence[int],
+            lattice: Sequence[Sequence[int]],
+            select: Callable[[np.ndarray], np.ndarray]
+            ) -> Iterator[tuple[PolyadBlock, np.ndarray]]:
+    """Each block of _assemble with its eigenvalues, one eigvalsh call per
+    block, and the matrix they came from, a view that keeps its chunk alive."""
+    for label, basis, tops, mat in _assemble(model, caps, lattice, select):
+        yield PolyadBlock(label, basis, tuple(np.linalg.eigvalsh(mat).tolist()),
+                          (model, tops, lattice)), mat
 
 
 def build_block(model: HamiltonianModel, label: Sequence[int],
@@ -329,10 +397,13 @@ def build_block(model: HamiltonianModel, label: Sequence[int],
     label = tuple(label)
     if len(label) != len(lattice):
         raise ValueError("label length must match the lattice")
-    blocks = _blocks(model, caps, lattice, lambda labels: np.all(labels == label, axis=1))
-    if not blocks:
+    found = list(_blocks(model, caps, lattice, _has_label(label)))
+    if not found:
         raise ValueError(f"no basis states for label {label}")
-    return blocks[0]
+    (block, mat), = found
+    mat.flags.writeable = False
+    vars(block)["matrix"] = mat  # assembled already: fill the property's cache
+    return block
 
 
 def dunham_energy(f: FockState, model: HamiltonianModel) -> float:
@@ -349,7 +420,14 @@ def spectrum(model: HamiltonianModel, pmax: int, n3max: int
     blocks and flat rows (P, n3, index, energy), n3 = 0 for two modes,
     ordered by label then by ascending energy within the block. Caps over
     MAX_BOX_STATES candidates, or blocks over MAX_MATRIX_ENTRIES entries
-    in all, raise ValueError before any block is built.
+    in all, raise ValueError before any block is built; a block with an
+    entry that is not finite raises it before anything is returned.
+
+    Blocks are assembled and diagonalised one chunk of at most
+    CHUNK_ENTRIES entries at a time (a larger block alone), and only their
+    eigenvalues are kept, so memory follows the largest chunk and not the
+    sum of dim ** 2. A returned block assembles its matrix again on first
+    read of ``matrix``.
 
     A term whose shift changes (P, n3) is dropped whole: it couples no two
     states of one block, so it adds nothing to any level. In cloh.model
@@ -362,7 +440,8 @@ def spectrum(model: HamiltonianModel, pmax: int, n3max: int
     if pmax < 0 or n3max < 0:
         raise ValueError("caps are non-negative")
     caps = (pmax // spec.q, pmax // spec.p, n3max)[:spec.n]
-    blocks = _blocks(model, caps, polyad_lattice(spec), lambda labels: labels[:, 0] <= pmax)
+    blocks = [b for b, _ in _blocks(model, caps, polyad_lattice(spec),
+                                    lambda labels: labels[:, 0] <= pmax)]
     rows = [(*(b.label + (0,))[:2], idx, energy)
             for b in blocks for idx, energy in enumerate(b.eigenvalues)]
     return blocks, rows

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -564,6 +565,17 @@ class TestSpectrum:
             with pytest.raises(ValueError, match=r"^block \(2,\) has matrix entries"):
                 spectrum(model, pmax=2, n3max=0)
 
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        # the (2,) block's diagonal is (1e308, 1.2e308): every entry is
+        # finite, though their sum is not
+        model = parse_model_text("n=2\np=2\nq=1\norder=4\nomega 1 6e307\nomega 2 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks, rows = spectrum(model, pmax=2, n3max=0)
+            assert np.diag(blocks[2].matrix).tolist() == [1e308, 6e307 * 2]
+        assert len(rows) == 4
+        assert blocks[2].eigenvalues == (1e308, 6e307 * 2)
+
     def test_seeded_two_mode_json_digest_pinned(self, capsys, tmp_path):
         # every slot of the 2:1 order-12 census at P <= 160, the spectrum-2mode
         # shape: the m = 4 ladder passes 2**63 and takes Python ints
@@ -850,6 +862,75 @@ class TestBuildBlockOracle:
             assert np.array_equal(b.matrix, mat)
         assert [row[:3] for row in rows] == [(b.label[0], 0, i) for b in blocks
                                              for i in range(len(b.basis))]
+
+
+class TestChunks:
+    """spectrum assembles and diagonalises a bounded chunk of blocks at a
+    time and keeps no matrix; a block's matrix is assembled again on read."""
+
+    @pytest.mark.parametrize("chunk", [quantum.CHUNK_ENTRIES, 20], ids=["default", "20"])
+    @pytest.mark.parametrize("model, pmax, n3max", [
+        (cloh_model(), 12, 2),
+        (_seeded_model(ResonanceSpec(n=3, p=3, q=2), 10, seed=7), 36, 2),
+    ], ids=["cloh", "seeded-3:2"])
+    def test_blocks_hold_their_matrix_and_its_eigenvalues(self, monkeypatch, chunk,
+                                                          model, pmax, n3max):
+        # at 20 entries per chunk the blocks of dimension 5 and up are
+        # chunks of their own, and the smaller ones share
+        monkeypatch.setattr(quantum, "CHUNK_ENTRIES", chunk)
+        spec = model.spec
+        blocks, _ = spectrum(model, pmax, n3max)
+        assert max(len(b.basis) for b in blocks) > 5
+        for b in blocks:
+            P, n3 = b.label
+            ref = build_block(model, b.label, (P // spec.q, P // spec.p, n3))
+            assert b.basis == ref.basis
+            assert np.array_equal(b.matrix, ref.matrix)
+            assert np.array_equal(np.array(b.eigenvalues), np.linalg.eigvalsh(b.matrix))
+
+    def test_reading_a_matrix_runs_no_eigensolve_and_no_build_block(self, monkeypatch):
+        blocks, _ = spectrum(cloh_model(), 12, 2)
+        calls = []
+        for owner, name in ((np.linalg, "eigvalsh"), (quantum, "build_block")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, real=real, name=name, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
+        assert sum(np.count_nonzero(b.matrix) for b in blocks) > 0
+        assert calls == []
+        b = blocks[-1]
+        assert b.matrix is b.matrix and not b.matrix.flags.writeable
+
+    def test_chunks_stay_within_the_bound(self):
+        # greedy chunks of consecutive blocks: each stays within
+        # CHUNK_ENTRIES unless it is one larger block, and the next block
+        # would not have fitted into it
+        model = _seeded_model(SPEC21_2, 12, seed=5)
+        chunks = []  # [buffer, its blocks' entries]
+        for *_, mat in quantum._assemble(model, (160, 80), polyad_lattice(SPEC21_2),
+                                         lambda labels: labels[:, 0] <= 160):
+            if not chunks or chunks[-1][0] is not mat.base:
+                chunks.append([mat.base, []])
+            chunks[-1][1].append(mat.size)
+        assert sum(len(areas) for _, areas in chunks) == 161
+        assert len(chunks) > 1
+        for (buf, areas), nxt in zip(chunks, chunks[1:] + [None]):
+            assert buf.size == sum(areas)
+            assert buf.size <= quantum.CHUNK_ENTRIES or len(areas) == 1
+            if nxt is not None:
+                assert buf.size + nxt[1][0] > quantum.CHUNK_ENTRIES
+
+    @pytest.mark.parametrize("pmax, bound", [(160, 4_000_000), (320, 10_000_000)])
+    def test_peak_stays_small(self, pmax, bound):
+        # the spectrum-2mode model; one buffer for every block of the call
+        # peaks near 5.6 MB at pmax 160 and 34.6 MB at pmax 320
+        model = _seeded_model(SPEC21_2, 12, seed=5)
+        tracemalloc.start()
+        try:
+            spectrum(model, pmax, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestBoxGuard:
