@@ -8,15 +8,15 @@ k = 0 and t >= 1, diagonal in the quantum picture) may use every action
 generator; the coupling monomials (k >= 1) use at most two. The rule is a
 list of blocks (m, k, t), each family's in canonical order
 (:meth:`GenMonomial.sort_key`), so no caller sorts them. One memoised
-recursion, :func:`_vector_chunks`, builds exponent vectors as tuples (for
-the :class:`GenMonomial` census), JSON texts (:func:`write_census_json`)
-or label texts (:func:`write_census_table`). Every census walk streams a
-block through :func:`_prefix_chunks` one prefix of its first one or two
-exponents at a time, so no memoised suffix longer than n - 2 may have over
-two nonzero entries; the writers build no monomial. The closed-form counts are proved elsewhere (see
-:mod:`polyads.counting`); here live the production enumerator, the direct brute-force oracles, and
-the couple/class/multiplicity audit layer that explains why the raw sums
-over-count and by exactly how much.
+recursion, :func:`_suffix_rows`, keeps one flat list of exponent vectors per
+key, as tuples (for the :class:`GenMonomial` census), JSON texts
+(:func:`write_census_json`) or label texts (:func:`write_census_table`).
+Every census walk streams a block through :func:`_prefix_chunks` one prefix
+of its first one or two exponents at a time, so no memoised suffix longer than
+n - 2 may have over two nonzero entries; the writers build no monomial. The
+closed-form counts are proved elsewhere (see :mod:`polyads.counting`); here live
+the production enumerator, the direct brute-force oracles, and the couple/class/
+multiplicity audit layer that explains why the raw sums over-count and by exactly how much.
 """
 
 from __future__ import annotations
@@ -123,44 +123,36 @@ def _label_row(n: int) -> Callable:
     return row
 
 
-def _vector_chunks(n: int, total: int, support: int, memo: dict, row: Callable) -> Iterator[list]:
+def _suffix_rows(n: int, total: int, support: int, memo: dict, row: Callable) -> list:
     """Length-n vectors with the given total and at most ``support`` nonzero
-    entries, in descending lexicographic order, as one non-empty list per
-    first entry. Each one is built by ``row(n, e, rest)`` from its length,
-    its first entry and the row of the others, or ``row(1, e)`` when it has
-    one entry: _tuple_row gives tuples, _text_row the exponents' JSON text
-    and _label_row the label text. ``memo`` keeps the chunk lists of the
-    shorter vectors, keyed by the other arguments, so one memo serves one
-    kind of row; the census walks call it through :func:`_prefix_chunks`."""
-    support = min(support, n)
-    if n == 1:
-        if total == 0 or support:
-            yield [row(1, total)]
-        return
-    last = min(support, n - 1)  # the clamped support of the others when e = 0
-    for e in range(total if support else 0, -1, -1):
-        key = (n - 1, total - e, support - 1 if e else last)
-        rests = memo.get(key)
-        if rests is None:
-            rests = memo[key] = list(_vector_chunks(*key, memo, row))
-        chunk = [row(n, e, rest) for part in rests for rest in part]
-        if chunk:
-            yield chunk
+    entries, in descending lexicographic order, each built by ``row(n, e,
+    rest)`` from its length, first entry and the row of the others, or by
+    ``row(1, e)``: _tuple_row gives tuples, _text_row the exponents' JSON text
+    and _label_row the label text. ``memo`` keeps one list per clamped key, so
+    one memo serves one kind of row; census walks call it via _prefix_chunks."""
+    key = (n, total, min(support, n))
+    rows = memo.get(key)
+    if rows is None:
+        if n == 1:
+            rows = [row(1, total)] if total == 0 or support else []
+        else:
+            rows = [row(n, e, rest) for e in range(total if support else 0, -1, -1)
+                    for rest in _suffix_rows(n - 1, total - e, support - 1 if e else support,
+                                             memo, row)]
+        memo[key] = rows
+    return rows
 
 
 def _prefix_chunks(n: int, total: int, support: int, memo: dict, row: Callable) -> Iterator[tuple]:
-    """The vectors of :func:`_vector_chunks`, in order, as (prefix, memoised suffix rows); the
+    """The vectors of :func:`_suffix_rows`, in order, as (prefix, memoised suffix rows); the
     prefix is two entries if n > 3 and over two may be nonzero, else one (none at n = 1)."""
     levels = 2 if n > 3 and support > 2 else min(1, n - 1)
-    pairs = [((), total, min(support, n))]
-    for length in range(n, n - levels, -1):
-        pairs = [((*prefix, e), t - e, s - 1 if e else min(s, length - 1))
+    pairs = [((), total, support)]
+    for _ in range(levels):
+        pairs = [((*prefix, e), t - e, s - 1 if e else s)
                  for prefix, t, s in pairs for e in range(t if s else 0, -1, -1)]
     for prefix, t, s in pairs:
-        key = (n - levels, t, s)
-        if key not in memo:
-            memo[key] = list(_vector_chunks(*key, memo, row))
-        rows = [rest for part in memo[key] for rest in part]
+        rows = _suffix_rows(n - levels, t, s, memo, row)
         if rows:
             yield prefix, rows
 

@@ -175,20 +175,21 @@ class PolyadBlock:
 
     The call that diagonalises a block does not keep its matrix. The first
     read of ``matrix`` assembles it again, through the same assembler, over
-    the smallest caps box that holds the basis, and caches it read-only:
-    every branch that stays in the block stays in that box, so the entries
-    are the same bit for bit, and no eigensolve runs.
+    the tight caps of the basis (the largest occupation of each mode), and
+    caches it read-only: every branch that stays in the block stays in that
+    box, so the entries are the same bit for bit, and no eigensolve runs.
     """
 
     label: tuple[int, ...]
     basis: tuple[FockState, ...]
     eigenvalues: tuple[float, ...]
-    # model, tight caps and lattice that rebuild the matrix
+    # model and lattice that rebuild the matrix
     _source: tuple = field(repr=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        model, caps, lattice = self._source
+        model, lattice = self._source
+        caps = np.max(self.basis, axis=0).tolist()
         (*_, mat), = _assemble(model, caps, lattice, _has_label(self.label))
         mat.flags.writeable = False
         return mat
@@ -237,14 +238,12 @@ def _has_label(label: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
 def _assemble(model: HamiltonianModel, caps: Sequence[int],
               lattice: Sequence[Sequence[int]],
               select: Callable[[np.ndarray], np.ndarray]
-              ) -> Iterator[tuple[tuple[int, ...], tuple[FockState, ...], tuple[int, ...],
-                                  np.ndarray]]:
-    """Label, basis, tight caps and matrix of each block of the caps box
-    whose labels pass ``select``, one chunk of blocks at a time.
+              ) -> Iterator[tuple[tuple[int, ...], tuple[FockState, ...], np.ndarray]]:
+    """Label, basis and matrix of each block of the caps box whose labels
+    pass ``select``, one chunk of blocks at a time.
 
     ``select`` maps the labels of the box rows to a mask. Blocks come in
-    label order, each basis lexicographic; a block's tight caps are the
-    largest occupation of each mode in its basis. Caps over MAX_BOX_STATES
+    label order, each basis lexicographic. Caps over MAX_BOX_STATES
     candidates, or blocks over MAX_MATRIX_ENTRIES entries in all, raise
     ValueError before anything is allocated or assembled; so does a chunk
     with an entry that is not finite, before any of its blocks is yielded.
@@ -366,11 +365,9 @@ def _assemble(model: HamiltonianModel, caps: Sequence[int],
             raise ValueError(f"block {tuple(keys[first[block]].tolist())} has matrix entries "
                              "that are not finite")
         states = list(map(tuple, part.tolist()))
-        tops = np.maximum.reduceat(part, first[b0:b1] - r0).tolist()
-        for i, label, top in zip(range(b0, b1), keys[first[b0:b1]].tolist(), tops):
+        for i, label in zip(range(b0, b1), keys[first[b0:b1]].tolist()):
             o, d, s = offset[i], dim[i], first[i] - r0
-            yield (tuple(label), tuple(states[s:s + d]), tuple(top),
-                   buf[o:o + d * d].reshape(d, d))
+            yield tuple(label), tuple(states[s:s + d]), buf[o:o + d * d].reshape(d, d)
         del buf
 
 
@@ -380,9 +377,9 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
             ) -> Iterator[tuple[PolyadBlock, np.ndarray]]:
     """Each block of _assemble with its eigenvalues, one eigvalsh call per
     block, and the matrix they came from, a view that keeps its chunk alive."""
-    for label, basis, tops, mat in _assemble(model, caps, lattice, select):
+    for label, basis, mat in _assemble(model, caps, lattice, select):
         yield PolyadBlock(label, basis, tuple(np.linalg.eigvalsh(mat).tolist()),
-                          (model, tops, lattice)), mat
+                          (model, lattice)), mat
 
 
 def build_block(model: HamiltonianModel, label: Sequence[int],

@@ -293,18 +293,23 @@ class DiscardSink:
         pass
 
 
-def walk_blocks(n, blocks):
-    """The chunk-list memo left by walking ``blocks`` as census_monomials does."""
+def census_rows(n):
+    """The row builders of census_monomials, write_census_json and write_census_table."""
+    return monomials._tuple_row, monomials._text_row, monomials._label_row(n)
+
+
+def walk_blocks(n, blocks, row):
+    """The suffix memo left by walking ``blocks`` with ``row`` as the census walks do."""
     memo: dict = {}
     for _, _, t, support in blocks:
-        for _ in monomials._vector_chunks(n, t, support, memo, monomials._tuple_row):
+        for _ in monomials._prefix_chunks(n, t, support, memo, row):
             pass
     return memo
 
 
 def memo_entries(memo):
-    """The exponent entries of the tuple rows that a chunk-list memo holds."""
-    return sum(len(row) for chunks in memo.values() for chunk in chunks for row in chunk)
+    """The exponent entries of the vectors whose rows a suffix memo holds."""
+    return sum(length * len(rows) for (length, _, _), rows in memo.items())
 
 
 class TestCensusWriterMemory:
@@ -315,15 +320,15 @@ class TestCensusWriterMemory:
     @example(n=3, total=2, support=0)
     @example(n=3, total=0, support=0)
     @example(n=4, total=0, support=2)
-    def test_chunks_are_the_vectors_by_first_entry(self, n, total, support):
+    def test_suffix_rows_are_the_vectors(self, n, total, support):
         memo: dict = {}
-        chunks = list(monomials._vector_chunks(n, total, support, memo, monomials._tuple_row))
-        assert all(chunks)
-        assert all(len({rows[0] for rows in chunk}) == 1 for chunk in chunks)
-        assert all(length < n for length, _, _ in memo)
+        rows = monomials._suffix_rows(n, total, support, memo, monomials._tuple_row)
+        assert all(s <= length <= n for length, _, s in memo)
+        if support >= n:  # clamped to the length, so it reads the same list
+            assert monomials._suffix_rows(n, total, support + 1, memo, None) is rows
         oracle = sorted((v for v in itertools.product(range(total + 1), repeat=n)
                          if sum(v) == total and sum(map(bool, v)) <= support), reverse=True)
-        assert [row for chunk in chunks for row in chunk] == oracle
+        assert rows == oracle
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 5), total=st.integers(0, 8), support=st.integers(0, 6))
@@ -348,11 +353,8 @@ class TestCensusWriterMemory:
     def test_memo_holds_no_long_suffix_with_over_two_nonzero_entries(self, n, N, pq):
         # the Dunham suffixes stop at length n - 2; only suffixes of at most
         # two nonzero entries, the coupling ones and all at n = 3, are longer
-        for row in (monomials._tuple_row, monomials._text_row, monomials._label_row(n)):
-            memo: dict = {}
-            for _, _, t, support in census_blocks("both", n, N, *pq):
-                for _ in monomials._prefix_chunks(n, t, support, memo, row):
-                    pass
+        for row in census_rows(n):
+            memo = walk_blocks(n, census_blocks("both", n, N, *pq), row)
             assert memo and all(length <= n - 2 or support <= 2 for length, _, support in memo)
 
     @pytest.mark.parametrize("write", [write_census_json, write_census_table])
@@ -410,7 +412,9 @@ class TestCensusLimits:
     def test_entry_count_bounds_the_writer_memo(self, kind, n, N, pq):
         # every walk of the census memoises the shorter vectors only
         blocks = census_blocks(kind, n, N, *pq)
-        held = memo_entries(walk_blocks(n, blocks))
+        held = {memo_entries(walk_blocks(n, blocks, row)) for row in census_rows(n)}
+        assert len(held) == 1  # the walks differ only in what a row holds
+        held, = held
         assume(held)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held - 1)
@@ -424,11 +428,12 @@ class TestCensusLimits:
 
     @pytest.mark.parametrize("n, N, pq", [(6, 30, (1, 1)), (3, 12, (2, 1)), (5, 20, (3, 2))])
     def test_memo_keys_each_list_once(self, n, N, pq):
-        # a support over the length is clamped, so no chunk list is held twice
-        memo = walk_blocks(n, census_blocks("both", n, N, *pq))
-        assert all(support <= length < n for length, _, support in memo)
-        if (n, N, pq) == (6, 30, (1, 1)):
-            assert (len(memo), memo_entries(memo)) == (233, 104_751)
+        # a support over the length is clamped, so no suffix list is held twice
+        for row in census_rows(n):
+            memo = walk_blocks(n, census_blocks("both", n, N, *pq), row)
+            assert all(support <= length < n for length, _, support in memo)
+            if (n, N, pq) == (6, 30, (1, 1)):
+                assert (len(memo), memo_entries(memo)) == (217, 27_231)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: check_census(65, []), "need n <= 64"),

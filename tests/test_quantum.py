@@ -864,6 +864,59 @@ class TestBuildBlockOracle:
                                              for i in range(len(b.basis))]
 
 
+def _full_matrix_levels(model, row, top):
+    """Levels of the unblocked matrix over every state with row . n <= top,
+    assembled state by state from apply_term. Every term of ``model``
+    conserves row . n and every entry of ``row`` is positive, so the set of
+    states is finite and closed."""
+    states = [f for f in itertools.product(*(range(top // w + 1) for w in row))
+              if state_label(f, [row]) <= (top,)]
+    index = {f: i for i, f in enumerate(states)}
+    mat = np.zeros((len(states), len(states)))
+    for i, f in enumerate(states):
+        for t in model.terms:
+            if t.coeff != 0.0:
+                for target, amp in apply_term(t, f, model.spec):
+                    mat[index[target], i] += t.coeff * amp
+    assert np.array_equal(mat, mat.T)
+    return np.linalg.eigvalsh(mat)
+
+
+ORACLE_MODELS = {
+    "cloh": cloh_model,
+    # the extra pair moves three quanta of mode 1 into one of mode 3: it
+    # changes (P, n3) and conserves 2 n1 + 3 n2 + 6 n3
+    "seeded-3:2": lambda: _seeded_model(ResonanceSpec(n=3, p=3, q=2), 10, seed=1,
+                                        extras=[((0, 0, 1), (3, 0, 0))]),
+}
+# spectrum() blocks by (P, n3) and projects out every term that changes it
+PROJECTS_OUT = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                 reason="spectrum drops the extra pair (ROADMAP item 1)")
+
+
+class TestFullMatrixOracle:
+    @pytest.mark.parametrize("name, keep_extra, top", [
+        pytest.param("cloh", True, 24, marks=PROJECTS_OUT, id="cloh"),
+        pytest.param("seeded-3:2", True, 30, marks=PROJECTS_OUT, id="seeded-3:2"),
+        pytest.param("cloh", False, 24, id="cloh-without-extra"),
+        pytest.param("seeded-3:2", False, 30, id="seeded-3:2-without-extra"),
+    ])
+    def test_levels_match_the_full_matrix(self, name, keep_extra, top):
+        # the states whose true label is at most top are those of the
+        # (P, n3) blocks with P + row[2] n3 <= top; without the extra pair
+        # both sides hold the same operator
+        model = ORACLE_MODELS[name]()
+        (row,) = conserved_lattice(model)
+        assert row[:2] == (model.spec.q, model.spec.p) and row[2] > 0
+        if not keep_extra:
+            model = replace(model, terms=tuple(t for t in model.terms if t.kind != "extra"))
+        full = _full_matrix_levels(model, row, top)
+        _, rows = spectrum(model, top, top // row[2])
+        blocked = sorted(E for P, n3, _, E in rows if P + row[2] * n3 <= top)
+        assert len(blocked) == len(full)
+        np.testing.assert_allclose(blocked, full, rtol=0, atol=1e-9 * np.max(np.abs(full)))
+
+
 class TestChunks:
     """spectrum assembles and diagonalises a bounded chunk of blocks at a
     time and keeps no matrix; a block's matrix is assembled again on read."""
