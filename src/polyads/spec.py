@@ -24,8 +24,8 @@ MAX_ORDER = 1000
 # its enumeration may hold (see monomials.check_census). Every census walk
 # memoises only exponent suffixes, so what stays in memory is that memo, whose
 # entries the count bounds from above; the records bound the output and its
-# time. The largest census they accept peaks at 25.3 MB RSS (n = 8, 3:2, order
-# 30, JSON; 19.2 MB as a table), against 14.7 MB for n = 6 at order 30.
+# time. The largest census they accept peaks at 25.8 MB RSS (n = 8, 3:2, order
+# 30, JSON; 19.6 MB as a table), against 15.7 MB for n = 6 at order 30.
 MAX_CENSUS_RECORDS = 500_000
 MAX_CENSUS_ENTRIES = 8_000_000
 
