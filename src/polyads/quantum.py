@@ -356,10 +356,7 @@ def _assemble(model: HamiltonianModel, caps: Sequence[int],
                 buf[at_col[src] + target * wide[src]] += val  # distinct within one term
                 buf[at_row[src] + target] += val
             buf[at_row + local[r0:r1]] = diagonal
-            # finite entries can sum past the float range, so only a sum that
-            # is not finite calls for the scan
-            total = buf.sum()
-        bad = np.flatnonzero(~np.isfinite(buf)) if not np.isfinite(total) else []
+        bad = np.flatnonzero(~np.isfinite(buf))
         if len(bad):
             block = b0 + np.searchsorted(offset[b0:b1], bad[0], side="right") - 1
             raise ValueError(f"block {tuple(keys[first[block]].tolist())} has matrix entries "

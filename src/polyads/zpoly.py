@@ -69,10 +69,6 @@ class ZMonomial(NamedTuple):
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return sum(self.a) + sum(self.b)
-
 
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:

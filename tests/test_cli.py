@@ -187,6 +187,9 @@ class TestModelGrammar:
         ("n=2\np=2\nq=1\norder=6\ndunham 1:4 0.5\n", 5, "exceeds order"),
         ("n=2\np=2\nq=1\norder=6\ncoupling 3 - 0.5\n", 5, "exceeds order"),
         ("n=2\np=2\nq=1\norder=6\nomega 1 zero\n", 5, "bad coefficient"),
+        ("n=2\np=2\nq=1\norder=6\nomega 1 1.0\nq=1\n", 6, "header line after the first term"),
+        ("n=2\np=two\nq=1\norder=6\n", 2, "bad integer for 'p'"),
+        ("n=2\np=2\nq=1\norder=6\ncoupling x - 0.5\n", 5, "bad ladder power 'x'"),
         ("n=2\np=2\nq=1\norder=6\nomega 1 inf\n", 5, "not finite"),
         ("n=2\np=2\nq=1\norder=2\nomega 1 1.0\n", 4, "at least 4"),
         ("n=2\np=2\nq=1\norder=6\ncoupling 0 - 0.5\n", 5, "must be positive"),
@@ -451,6 +454,18 @@ class TestVerifyTablesCommand:
         assert "MISMATCH table2[N=10,p+q=3]: expected 1234, got 4" in out
         assert "1 cells differ" in out
 
+    def test_failed_totals_cell_is_named_by_column_and_count(self, capsys, monkeypatch):
+        import polyads.counting as counting
+        monkeypatch.setitem(counting.TOTALS_REFERENCE_N10, 3, (38, 54, 34))
+        code, out, _ = run(capsys, "verify-tables")
+        assert code == 1
+        assert "table3: 11/12 cells match" in out
+        assert "MISMATCH table3[p+q=3,n_coef]: expected 38, got 37" in out
+        code, out, _ = run(capsys, "verify-tables", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            {"cell": "table3[p+q=3,n_coef]", "expected": 38, "got": 37}]
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "verify-tables", "--format", "json")
         assert code == 0
@@ -668,6 +683,18 @@ class TestSpectrumCommand:
                               env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: block (2,) has matrix entries that are not finite\n"
+
+    @pytest.mark.parametrize("text, caps, message", [
+        ("n=4\np=2\nq=1\norder=4\nomega 1 1.0\n", ("--pmax", "2"),
+         "spectrum labeling is defined for 2 or 3 modes"),
+        (MINIMAL, ("--pmax", "-1"), "caps are non-negative"),
+        (MINIMAL, ("--pmax", "2", "--n3max", "-1"), "caps are non-negative"),
+    ], ids=["four-modes", "negative-pmax", "negative-n3max"])
+    def test_unsupported_request_exit_code(self, capsys, tmp_path, text, caps, message):
+        model_file = tmp_path / "request.model"
+        model_file.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--model", str(model_file), *caps)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_oversized_caps_exit_code(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", str(FIXTURE),

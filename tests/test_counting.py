@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,51 @@ class TestClosedForms:
                     assert delta2_closed(N, p, q) >= 0
 
 
+def kernel_slots(n, N, p, q):
+    """Ker ad_H0 at order N for the p:q resonance alone, from its definition.
+
+    Counts the non-constant z^a z*^b with |a| + |b| <= N and
+    omega . (a - b) = 0, one per conjugate pair, for omega = (q, p, M, M^2,
+    ...) with M = p N + 1: the spectators resonate with nothing at this
+    order. Returns (every slot, the slots whose coupling part uses at most
+    two action modes, that is a = b or at most two i with min(a_i, b_i) > 0).
+    """
+    M = p * N + 1
+    omega = (q, p, *(M ** k for k in range(1, n - 1)))
+    by_frequency = defaultdict(list)
+    for a in product(range(N + 1), repeat=n):
+        if sum(a) <= N:
+            by_frequency[sum(w * x for w, x in zip(omega, a))].append(a)
+    every = at_most_two = 0
+    for vectors in by_frequency.values():
+        for a, b in product(vectors, repeat=2):
+            if a > b or sum(a) + sum(b) > N or not any(a):
+                continue
+            every += 1
+            at_most_two += a == b or sum(min(x, y) > 0 for x, y in zip(a, b)) <= 2
+    return every, at_most_two
+
+
+class TestKernelCount:
+    """The census against Ker ad_H0 counted without monomials.py."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1)])
+    def test_kernel_matches_closed_forms(self, n, p, q):
+        for N in range(4, 11):
+            every, at_most_two = kernel_slots(n, N, p, q)
+            coupling = sum(math.comb((N - (p + q) * k) // 2 + n, n)
+                           for k in range(1, N // (p + q) + 1))
+            assert every == lambda_dunham(n, N) + coupling, N
+            assert at_most_two == totals(n, N, p, q).n_coef, N
+
+    def test_worked_case_misses_one_kernel_slot(self):
+        # the abstract's 86 is the whole kernel; the census allows at most
+        # two action factors in a coupling monomial, so it lacks the one slot
+        # with all three, coupling 1 1:1,2:1,3:1 (degree 9)
+        assert kernel_slots(3, 10, 2, 1) == (86, 85)
+
+
 class TestTotals:
     def test_worked_three_mode_case(self):
         rep = totals(3, 10, 2, 1)
@@ -218,6 +265,10 @@ class TestFrozenTables:
         assert len(rows) == 4
         for pq, n_coef, n_op, n_c in rows:
             assert (n_coef, n_op, n_c) == TOTALS_REFERENCE_N10[pq]
+
+    def test_regenerate_rejects_unknown_table(self):
+        with pytest.raises(ValueError, match="^table index is 1, 2 or 3$"):
+            regenerate_table(4)
 
     def test_verify_tables_all_green(self):
         entries = verify_tables()

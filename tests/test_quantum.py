@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,29 @@ def _shift_model(shifts):
                   for s in shifts)
     return HamiltonianModel(spec=ResonanceSpec(n=len(shifts[0]), p=1, q=1),
                             order=99, terms=terms)
+
+
+def _rank_det(rows):
+    """Rank of an integer matrix, and its determinant if square (else 0).
+
+    Exact Fraction elimination; the determinant is the signed product of the
+    pivots, so it is 0 for a square matrix of lower rank.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank, det if rank == len(m) == len(m[0]) else 0
 
 
 def fermi(coeff=1.0, num_exps=(0, 0, 0)):
@@ -329,22 +353,18 @@ class TestLattices:
         # a shift and its negative are one ladder pair, so one slot
         min_size=1, max_size=3, unique_by=lambda s: max(s, tuple(-x for x in s)))))
     def test_lattice_is_hermite_z_basis_of_kernel(self, shifts):
-        from sympy import Matrix, gcd
-
         n = len(shifts[0])
         lat = conserved_lattice(_shift_model(shifts))
         assert all(sum(a * b for a, b in zip(v, s)) == 0 for v in lat for s in shifts)
-        null = Matrix(shifts).nullspace()
-        assert len(lat) == n - Matrix(shifts).rank() == len(null)
+        # n - rank(S) independent kernel vectors span the whole rational kernel
+        assert len(lat) == n - _rank_det(shifts)[0]
         if not lat:
             return
-        # same rational span as sympy's nullspace
-        both = Matrix.vstack(Matrix(lat), *(v.T for v in null))
-        assert Matrix(lat).rank() == both.rank() == len(lat)
+        assert _rank_det(lat)[0] == len(lat)
         # saturated: the maximal minors have no common factor
-        minors = [Matrix([[v[c] for c in cols] for v in lat]).det()
+        minors = [_rank_det([[v[c] for c in cols] for v in lat])[1]
                   for cols in itertools.combinations(range(n), len(lat))]
-        assert gcd(minors) == 1
+        assert math.gcd(*map(int, minors)) == 1
         # row Hermite normal form
         pivots = [next(j for j, x in enumerate(v) if x) for v in lat]
         assert pivots == sorted(set(pivots))
@@ -398,6 +418,10 @@ class TestBlocks:
         m = cloh_model()
         with pytest.raises(ValueError):
             build_block(m, (1, 0), [0, 0, 0])
+
+    def test_label_length_mismatch(self):
+        with pytest.raises(ValueError, match="^label length must match the lattice$"):
+            build_block(cloh_model(), (2, 0, 0), [40, 20, 8])
 
     def test_cap_length_mismatch(self):
         m = cloh_model()

@@ -143,6 +143,13 @@ class TestBracketTable:
 
 
 class TestFlow:
+    def test_mismatched_dimension_rejected(self):
+        spec = ResonanceSpec(n=3, p=2, q=1)
+        with pytest.raises(ValueError, match="^polynomial dimension does not match spec$"):
+            ad_h0(h0_polynomial(ResonanceSpec(n=2, p=2, q=1)), spec)
+        with pytest.raises(ValueError, match="^initial point does not match spec$"):
+            flow_h0((1j, 2j), 0.5, spec)
+
     def test_time_zero_is_identity(self):
         spec = ResonanceSpec(n=3, p=2, q=1)
         z0 = (1 + 2j, 3 - 1j, 0.5j)
