@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
-from .spec import MAX_MODES, ResonanceSpec
+from .spec import MAX_MODES, MAX_ORDER, ResonanceSpec
 
 TermKind = Literal["dunham", "coupling", "extra"]
 
@@ -241,6 +241,8 @@ def _header_spec(header: dict[str, tuple[int, int]], line_no: int, missing_msg: 
         raise ModelFileError(max(n_line, p_line, q_line), f"bad header: {exc}") from None
     if order < 4:
         raise ModelFileError(order_line, "order must be at least 4")
+    if order > MAX_ORDER:
+        raise ModelFileError(order_line, f"bad header: order is over the limit of {MAX_ORDER}")
     return spec, order
 
 

@@ -32,11 +32,13 @@ from polyads.model import (
     parse_model_text,
     serialize_model,
 )
+from polyads.monomials import brute_force_delta2
 from polyads.quantum import dunham_energy
 from polyads.resonance import ResonanceSpec
 
 FIXTURE = Path(polyads.__file__).parent / "data" / "cloh.model"
 PACKAGE_ROOT = str(Path(polyads.__file__).parents[1])
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 MINIMAL = """\
 n=2
@@ -201,6 +203,8 @@ class TestModelGrammar:
         ("n=2\np=2\nq=1\norder=6\nextra 1:5 2:5 1.0\n", 5, "degree 10 exceeds order 6"),
         ("n=100000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 1, "over the limit of 64 modes"),
         ("n=10000000000000000000\np=2\nq=1\norder=6\nomega 1 1.0\n", 1, "over the limit"),
+        ("n=2\np=2\nq=1\norder=100000000\nomega 1 1.0\n", 4, "over the limit of 1000"),
+        ("n=2\np=2\nq=1\norder=1000\ndunham 1:501 1.0\n", 5, "degree 1002 exceeds order 1000"),
     ])
     def test_rejects_with_line_number(self, text, line_no, needle):
         with pytest.raises(ModelFileError) as err:
@@ -373,13 +377,20 @@ class TestEnumerateCommand:
          "c6bc819e308da82b3e4fa6cc6e854105ff7df454c020acbbd0042ed6800db3b8"),
         (("3", "2", "1", "12"), "table",
          "6d5c37490b85c3a0fdcc7b0df72dc456b5ed3712c3101596aabb76df5a0abb41"),
+        (("8", "3", "2", "30"), "json",
+         "83f466da0927efb9f8c7e41ca02fc06ef250b897d74b08f19d39bf6b57ca44f6"),
+        (("8", "3", "2", "30"), "table",
+         "1415d0779b3c2bbcc1e78b558d080d42465c53d5e12c84ccb8f07430f279b163"),
     ], ids=["6-1:1-30-json", "6-2:1-30-json", "6-3:1-30-json", "6-3:2-30-json",
-            "6-3:2-30-table", "3-2:1-12-json", "3-2:1-12-table"])
+            "6-3:2-30-table", "3-2:1-12-json", "3-2:1-12-table", "8-3:2-30-json",
+            "8-3:2-30-table"])
     def test_output_digest_pinned(self, capsys, tmp_path, sizes, fmt, digest):
-        # the 3:2 order-30 and the 2:1 order-12 digests were taken while the
-        # census was still collected in a set and sorted by
-        # GenMonomial.sort_key; the other order-30 ones while every record of
-        # the JSON census was still built from a GenMonomial
+        # the 6-mode 3:2 order-30 and the 2:1 order-12 digests were taken
+        # while the census was still collected in a set and sorted by
+        # GenMonomial.sort_key; the other 6-mode order-30 ones while every
+        # record of the JSON census was still built from a GenMonomial; the
+        # 8-mode JSON one is that of the stdlib encoder's re-dump, and its
+        # table ends with "total 498909", the JSON's record count
         n, p, q, order = sizes
         out_file = tmp_path / "census.out"
         code, out, _ = run(capsys, "enumerate", "--n", n, "--p", p, "--q", q,
@@ -515,6 +526,7 @@ class TestAuditCommand:
                            "--kind", "3", "--format", "json", "--out", str(out_file))
         assert (code, out) == (0, "")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        assert json.loads(out_file.read_text())["delta"] == brute_force_delta2(220, int(p), int(q))
 
     # digests taken while MultiplicityAudit was a dataclass written out with
     # dataclasses.asdict; the kind-3 JSON one is pinned above
@@ -733,9 +745,12 @@ class TestPhaseSpaceCommand:
          "json", 41, "d02912438781efabe072b34b8209f6417d4deada9af88865602e20d8daed3ea2"),
         (["--p", "2", "--q", "1", "--h0", "2.5", "--sigma", "0.3", "--samples", "41"],
          "table", 41, "cdebfb463574ed83e61fd9fc3f872a179030f28a02d481541a526f202a5cfa43"),
-    ], ids=["origin-json", "origin-csv", "sigma-json", "sigma-csv"])
+        (["--p", "3", "--q", "2", "--h0", "3.0", "--sigma", "0.2", "0.1", "--samples", "57"],
+         "json", 57, "97974b2e52c572d561650a4ed385a0e415adc63859ed06652debb9dc29d6d175"),
+    ], ids=["origin-json", "origin-csv", "sigma-json", "sigma-csv", "two-sigma-json"])
     def test_output_digest_pinned(self, capsys, tmp_path, argv, fmt, rows, digest):
-        # digests taken before PhaseCurvePoint lost its always-zero sigmam1p field
+        # digests taken before PhaseCurvePoint lost its always-zero sigmam1p
+        # field; the two-sigma one is that of the stdlib encoder's re-dump
         out_file = tmp_path / "curve.out"
         code, out, _ = run(capsys, "phase-space", *argv, "--format", fmt,
                            "--out", str(out_file))
@@ -822,6 +837,23 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
 def test_bad_ladder_is_usage_error(capsys, argv, p, q, message):
     code, out, err = run(capsys, *argv, "--p", p, "--q", q)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, printed, header, files", [
+    (["make_tables.py"], "\nall frozen cells match\n", None, 0),
+    (["run_cloh_spectrum.py", "--pmax", "10", "--n3max", "1", "--out", "levels.csv"],
+     "22 blocks, 72 levels -> levels.csv\n", "P,n3,index,energy_cm1", 1),
+    (["sample_phase_curves.py", "--samples", "11", "--energies", "1.0", "--outdir", "curves"],
+     "p=3 q=2 h0/w2=1: ", "sigma1,sigma0p_plus,sigma0p_minus,residual", 4),
+], ids=["make_tables", "run_cloh_spectrum", "sample_phase_curves"])
+def test_script_runs_at_small_size(tmp_path, argv, printed, header, files):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert printed in proc.stdout
+    written = [path.read_text().split("\n", 1)[0] for path in tmp_path.rglob("*.csv")]
+    assert written == [header] * files
 
 
 def imports_of(argv: list[str]) -> set[str]:

@@ -228,6 +228,11 @@ class TestCensusJsonWriter:
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
            n=st.integers(1, 5), N=st.integers(4, 20), pq=st_pq)
+    # the edges of the walk by prefix: one mode, and two modes with a
+    # zero-total block
+    @example(kind="dunham", n=1, N=9, pq=(1, 1))
+    @example(kind="dunham", n=2, N=6, pq=(1, 1))
+    @example(kind="coupling", n=2, N=7, pq=(4, 1))
     def test_matches_stdlib_encoder_of_the_census(self, kind, n, N, pq):
         p, q = pq
         if kind != "dunham" and n < 2:
@@ -268,6 +273,9 @@ class TestCensusTableWriter:
     @given(kind=st.sampled_from(["dunham", "coupling", "both"]),
            n=st.integers(1, 6), N=st.integers(4, 30),
            pq=st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 1)]))
+    @example(kind="dunham", n=1, N=9, pq=(1, 1))
+    @example(kind="dunham", n=2, N=6, pq=(1, 1))
+    @example(kind="coupling", n=2, N=7, pq=(4, 1))
     def test_labels_of_the_census(self, kind, n, N, pq):
         assume(kind == "dunham" or n >= 2)
         blocks = census_blocks(kind, n, N, *pq)

@@ -618,27 +618,6 @@ class TestSpectrum:
         assert a == b
 
 
-class TestPerturbativeLimit:
-    def test_weak_coupling_matches_second_order_shift(self):
-        # two uncoupled levels 2 E1 and E2 with gap 100, bridged by the
-        # resonance pair; second-order theory is exact through O(c^2)
-        spec = ResonanceSpec(n=2, p=2, q=1)
-        e1, e2 = 700.0, 1500.0
-        gap = abs(2 * e1 - e2)
-        base = (
-            number_string((1, 0), coeff=e1),
-            number_string((0, 1), coeff=e2),
-        )
-        for c in (1e-3 * gap, 1e-2 * gap):
-            terms = base + (coupling_term(spec, 1, (0, 0), coeff=c),)
-            m = HamiltonianModel(spec=spec, order=10, terms=terms)
-            b = build_block(m, (2,), [20, 10])
-            lo, hi = b.eigenvalues
-            v2 = 2.0 * c * c  # off-diagonal element is sqrt(2) c
-            assert lo == pytest.approx(2 * e1 - v2 / gap, abs=8 * v2 * v2 / gap ** 3)
-            assert hi == pytest.approx(e2 + v2 / gap, abs=8 * v2 * v2 / gap ** 3)
-
-
 # -- slow oracle: the per-state scan and assembly --------------------------
 
 
@@ -661,13 +640,6 @@ def _reference_block(model, label, caps, lattice=None):
         for occ in range(caps[len(prefix)] + 1):
             rec(prefix + (occ,))
 
-    def number_factor(f, exps):
-        out = 1.0
-        for n_k, r in zip(f, exps):
-            if r:
-                out *= float(n_k) ** r
-        return out
-
     rec(())
     index = {f: i for i, f in enumerate(states)}
     mat = np.zeros((len(states), len(states)))
@@ -676,7 +648,7 @@ def _reference_block(model, label, caps, lattice=None):
             if t.coeff == 0.0:
                 continue
             if t.kind == "dunham":
-                mat[i, i] += t.coeff * number_factor(f, t.num_exps)
+                mat[i, i] += t.coeff * quantum._number_factor(f, t.num_exps)
                 continue
             up = raising_branch(t, f, spec)
             if up is None:

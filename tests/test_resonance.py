@@ -121,6 +121,8 @@ class TestGenerators:
         gens = generators(spec)
         for k in gens.ids():
             assert ad_h0(gens[k], spec).is_zero()
+        # a product of generators is invariant too
+        assert ad_h0(gens[-1] * gens[0] ** 2 * gens[3], spec).is_zero()
 
     def test_h0_self_commutes(self):
         spec = ResonanceSpec(n=2, p=3, q=2)
