@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -249,5 +250,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry: ``main`` on ``sys.argv``, then exit with its code.
+
+    Freezing the heap as the process leaves, argparse exits included, keeps
+    the interpreter's exit collections from walking every module object it
+    is about to free. ``main`` never freezes, as it also runs in process.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -108,9 +108,14 @@ def _check_same_n(p: "ZPolynomial", q: "ZPolynomial") -> None:
         raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
 
 
-def _lowest(terms: dict[int, tuple[int, int]], den: int) -> tuple[dict, int]:
-    """``terms`` (no zero numerator) over ``den``, both divided by their gcd."""
-    g = den
+def _lowest(terms: dict[int, tuple[int, int]], den: int,
+            g: int | None = None) -> tuple[dict, int]:
+    """``terms`` (no zero numerator) over ``den``, both divided by their gcd.
+
+    ``g``, if given, is a divisor of ``den`` that the gcd is known to divide;
+    the scan starts from it instead of from ``den``.
+    """
+    g = den if g is None else g
     if g != 1:
         for re, im in terms.values():
             g = math.gcd(g, re, im)
@@ -201,7 +206,12 @@ class ZPolynomial:
                 out[mono] = (r0, i0)
             else:  # cancelled; only a key of the left operand can cancel
                 del out[mono]
-        return ZPolynomial._of(self.n, *_lowest(out, den))
+        # The gcd to divide out divides gcd(d1, d2), the operands' denominators.
+        # Take a prime p with a higher power in d1 than in d2 (or the reverse):
+        # p divides t but not s, so each numerator here is s*N1 mod p, and N1/d1
+        # is in lowest terms, so some N1 is not 0 mod p. Every other prime has
+        # the same power in d1, d2 and den. A sum that cancels whole has d1 == d2.
+        return ZPolynomial._of(self.n, *_lowest(out, den, math.gcd(self._den, other._den)))
 
     def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
         return self + (-other)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -881,6 +882,41 @@ class TestPackaging:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "85" in proc.stdout
+
+    def test_process_entry_freezes_the_heap_at_exit(self):
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                "sys.argv = ['polyads', 'count', '--n', '3', '--p', '2', '--q', '1',"
+                " '--order', '10', '--format', 'json']\n"
+                "from polyads.cli import run\n"
+                "run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n_coef"] == 85
+        label, frozen = proc.stderr.split()
+        assert label == "frozen" and int(frozen) > 0
+
+    def test_main_in_process_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "count", "--n", "3", "--p", "2", "--q", "1", "--order", "10")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv, code, stream, start", [
+        (["--help"], 0, "stdout", "usage: polyads"),
+        ([], 2, "stderr", "usage: polyads"),
+        (["count", "--n", "x"], 2, "stderr", "usage: polyads count"),
+    ], ids=["help", "no-command", "bad-int"])
+    def test_module_exit_codes(self, argv, code, stream, start):
+        proc = subprocess.run([sys.executable, "-m", "polyads", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert proc.returncode == code
+        assert getattr(proc, stream).startswith(start)
+
+    def test_installed_script_is_the_process_entry(self):
+        # read as text: tomllib is not in every supported Python
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert '\n[project.scripts]\npolyads = "polyads.cli:run"\n' in pyproject
 
     @pytest.mark.parametrize("argv", [
         ["-c", "import polyads.cli"],

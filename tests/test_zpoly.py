@@ -392,13 +392,20 @@ def assert_canonical(p: ZPolynomial) -> None:
 
 st_part = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 st_zero = st.just(Fraction(0))
-# purely real, purely imaginary or mixed coefficients, one kind per polynomial,
-# so that every one of the bracket's four real/imaginary sums runs
-st_kind = st.sampled_from([(st_part, st_zero), (st_zero, st_part), (st_part, st_part)])
+# denominators that share prime powers, so that sums often cancel a factor
+st_shared_part = st.builds(Fraction, st.integers(-30, 30),
+                           st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72]))
 
 
-def st_ref_poly(n: int):
-    """(ZPolynomial, reference) pairs built from the same drawn terms."""
+def st_ref_poly(n: int, part=st_part):
+    """(ZPolynomial, reference) pairs built from the same drawn terms.
+
+    Coefficients are purely real, purely imaginary or mixed, one kind per
+    polynomial, so that every one of the bracket's four real/imaginary sums
+    runs.
+    """
+    st_kind = st.sampled_from([(part, st_zero), (st_zero, part), (part, part)])
+
     def terms(kind):
         re, im = kind
         return st.lists(st.tuples(
@@ -447,3 +454,14 @@ class TestFractionOracle:
             assert ref_of(result) == expected
             assert_canonical(result)
         assert (snapshot(f), snapshot(g)) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_sum_cancels_only_a_factor_of_both_denominators(self, data, n):
+        (f, fr), (g, gr) = (data.draw(st_ref_poly(n, st_shared_part)) for _ in range(2))
+        for a, b, expected in [(f, g, ref_add(fr, gr)), (g, f, ref_add(fr, gr)),
+                               (f + g, -f, gr)]:
+            total = a + b
+            assert ref_of(total) == expected
+            assert_canonical(total)
+            assert math.gcd(a._den, b._den) % (math.lcm(a._den, b._den) // total._den) == 0
