@@ -55,10 +55,9 @@ Scalar = ComplexRational | int | Fraction
 
 def _split(c: Scalar) -> tuple[int, int, int]:
     """Numerators (re, im) of a scalar over their least positive denominator."""
-    if isinstance(c, ComplexRational):
-        re, im = Fraction(c.re), Fraction(c.im)
-    else:
-        re, im = Fraction(c), Fraction(0)
+    parts = c if isinstance(c, ComplexRational) else (c, 0)
+    # ints and Fractions are taken as they are: both have numerator and denominator
+    re, im = (x if type(x) in (int, Fraction) else Fraction(x) for x in parts)
     den = math.lcm(re.denominator, im.denominator)
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
@@ -194,6 +193,8 @@ class ZPolynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "ZPolynomial") -> "ZPolynomial":
+        if not isinstance(other, ZPolynomial):
+            return NotImplemented
         _check_same_n(self, other)
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, den // other._den
@@ -214,24 +215,32 @@ class ZPolynomial:
         return ZPolynomial._of(self.n, *_lowest(out, den, math.gcd(self._den, other._den)))
 
     def __sub__(self, other: "ZPolynomial") -> "ZPolynomial":
-        return self + (-other)
+        return self + (-other) if isinstance(other, ZPolynomial) else NotImplemented
 
     def __neg__(self) -> "ZPolynomial":
         return ZPolynomial._of(self.n, {m: (-re, -im) for m, (re, im) in self._terms.items()},
                                self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            c, d, den = _split(other)
-            return ZPolynomial(self.n, {m: (a * c - b * d, a * d + b * c)
-                                        for m, (a, b) in self._terms.items()},
-                               self._den * den)
-        if not isinstance(other, ZPolynomial):
-            return NotImplemented
+        # the exact type first: the scalar test's Fraction check is an ABC check
+        if type(other) is not ZPolynomial:
+            if isinstance(other, (int, Fraction, ComplexRational)):
+                c, d, den = _split(other)
+                return ZPolynomial(self.n, {m: (a * c - b * d, a * d + b * c)
+                                            for m, (a, b) in self._terms.items()},
+                                   self._den * den)
+            if not isinstance(other, ZPolynomial):
+                return NotImplemented
         _check_same_n(self, other)
         if self is (one := ZPolynomial.one(self.n)) or other is one:  # the cached identity
             return other if self is one else self
         _check_degree(self.degree() + other.degree())
+        if len(self._terms) == 1 == len(other._terms):
+            # nonzero Gaussian integers have a nonzero product: no term cancels
+            (m1, (a, b)), = self._terms.items()
+            (m2, (c, d)), = other._terms.items()
+            return ZPolynomial._of(self.n, *_lowest({m1 + m2: (a * c - b * d, a * d + b * c)},
+                                                    self._den * other._den))
         out: dict[int, tuple[int, int]] = {}
         get = out.get
         zero = (0, 0)
@@ -245,6 +254,8 @@ class ZPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "ZPolynomial":
+        if not isinstance(k, int):
+            raise TypeError(f"power must be an int, not {type(k).__name__}")
         if k < 0:
             raise ValueError("negative power")
         _check_degree(self.degree() * k)
@@ -339,7 +350,14 @@ def poisson_bracket(f: ZPolynomial, g: ZPolynomial) -> ZPolynomial:
     (a1_k b2_k - b1_k a2_k) c1 c2 at the sum of their keys less the keys of
     z_k and z_k*, a valid monomial whenever the factor is nonzero. Brackets
     of real or imaginary operands, as in the invariant algebra, take one.
+    For each k one part is grouped by its (a_k, b_k) pair, so the factor
+    is worked out once per term of the other part and group, and a group
+    whose factor is 0 is skipped whole. S is antisymmetric, so the part
+    with fewer terms is grouped: building the groups costs one pass over it.
     """
+    if not isinstance(f, ZPolynomial) or not isinstance(g, ZPolynomial):
+        bad = g if isinstance(f, ZPolynomial) else f
+        raise TypeError(f"Poisson bracket of a non-polynomial: {type(bad).__name__}")
     _check_same_n(f, g)
     n = f.n
     _check_degree(f.degree() + g.degree() - 2)
@@ -354,21 +372,31 @@ def poisson_bracket(f: ZPolynomial, g: ZPolynomial) -> ZPolynomial:
                               (fr, gr, im, -1), (fi, gi, im, 1)):
         if not (fp and gp):
             continue
+        if len(gp) > len(fp):  # S(fp, gp) = -S(gp, fp)
+            fp, gp, sign = gp, fp, -sign
         get = acc.get
         for k in range(n):
             sa, sb = EXP_BITS * (2 * n - 1 - k), EXP_BITS * (n - 1 - k)
             # key of z_k z_k*: one in its two exponent fields, two in the degree
             step = (2 << (2 * n * EXP_BITS)) + (1 << sa) + (1 << sb)
-            fk = [(m - step, c, m >> sa & mask, m >> sb & mask)
-                  for m, c in fp if (m >> sa | m >> sb) & mask]
-            gk = [(m, sign * c, m >> sa & mask, m >> sb & mask)
-                  for m, c in gp if (m >> sa | m >> sb) & mask]
-            for m1, c1, a1, b1 in fk:
-                for m2, c2, a2, b2 in gk:
-                    fac = a1 * b2 - b1 * a2
-                    if fac:
-                        mono = m1 + m2
-                        acc[mono] = get(mono, 0) + fac * c1 * c2
+            groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for m, c in gp:
+                ab = (m >> sa & mask, m >> sb & mask)
+                if ab != (0, 0):
+                    groups.setdefault(ab, []).append((m, c))
+            # the sign goes into the exponents, so the factor carries it
+            gk = [(sign * a2, sign * b2, terms) for (a2, b2), terms in groups.items()]
+            for m1, c1 in fp:
+                a1, b1 = m1 >> sa & mask, m1 >> sb & mask
+                if a1 or b1:
+                    m1 -= step
+                    for a2, b2, terms in gk:
+                        fac = a1 * b2 - b1 * a2
+                        if fac:
+                            fc = fac * c1
+                            for m2, c2 in terms:
+                                mono = m1 + m2
+                                acc[mono] = get(mono, 0) + fc * c2
     out = {m: (v, im.pop(m, 0)) for m, v in re.items()}
     out.update((m, (0, v)) for m, v in im.items())
     return ZPolynomial(n, out, f._den * g._den)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import chain
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyads.monomials import enumerate_coupling, enumerate_dunham, sort_monomials
+from polyads.resonance import ResonanceSpec, ad_h0, generators
 from polyads.zpoly import (
     CR_MINUS_I,
     EXP_BITS,
@@ -136,6 +139,16 @@ class TestZPolynomial:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda x: x + 1, r"unsupported operand type\(s\) for \+"),
+        (lambda x: x - 1, r"unsupported operand type\(s\) for -"),
+        (lambda x: poisson_bracket(x, 1), "^Poisson bracket of a non-polynomial: int$"),
+        (lambda x: x ** 2.0, "^power must be an int, not float$"),
+    ], ids=["sum", "difference", "bracket", "float-power"])
+    def test_non_polynomial_operands_raise_type_error(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            call(ZPolynomial.var(2, 1))
+
     def test_power_matches_repeated_product(self):
         z = ZPolynomial.var(2, 1) + ZPolynomial.var_conj(2, 2)
         assert z ** 3 == z * z * z
@@ -258,6 +271,61 @@ class TestPoissonBracket:
         assert poisson_bracket(f, g) == slow_bracket(f, g)
 
 
+def census_hamiltonian(spec: ResonanceSpec, order: int, coef) -> ZPolynomial:
+    """Sum over the census of ``coef()`` times the generator product of each
+    monomial, in canonical census order: the algebra benchmark's Hamiltonian."""
+    gens = generators(spec)
+    census = sort_monomials(enumerate_dunham(spec.n, order)
+                            | enumerate_coupling(spec.n, order, spec.p, spec.q))
+    acc = ZPolynomial.zero(spec.n)
+    for mono in census:
+        term = ZPolynomial.one(spec.n)
+        if mono.m_part is not None:
+            term = term * gens[mono.m_part] ** mono.m_exp
+        for k, e in enumerate(mono.num_exps, start=1):
+            if e:
+                term = term * gens[k] ** e
+        acc = acc + term * coef()
+    return acc
+
+
+def seeded_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 50))
+
+
+class TestBracketAtWorkloadScale:
+    """The bracket of census Hamiltonians, at the algebra benchmark's size and
+    at n = 4 with complex coefficients, against the derivative oracle."""
+
+    def test_invariant_hamiltonians_at_the_benchmark_size(self):
+        spec = ResonanceSpec(n=3, p=2, q=1)
+        rng = random.Random(7)
+        h1, h2 = (census_hamiltonian(spec, 12, lambda: ComplexRational.of(seeded_fraction(rng)))
+                  for _ in range(2))
+        assert h1.num_terms() == h2.num_terms() == 193
+        bracket = poisson_bracket(h1, h2)
+        assert bracket.num_terms() == 1357
+        assert bracket == slow_bracket(h1, h2)
+        assert ad_h0(bracket, spec).is_zero()
+
+    def test_complex_coefficients_at_four_modes(self):
+        # mixed coefficients make both parts of each operand nonzero, so all
+        # four real/imaginary sums run, over groups of several terms each
+        spec = ResonanceSpec(n=4, p=2, q=1)
+        rng = random.Random(11)
+        h1, h2, small = (census_hamiltonian(spec, order, lambda: ComplexRational.of(
+            seeded_fraction(rng), seeded_fraction(rng))) for order in (6, 6, 4))
+        for h in (h1, h2, small):
+            assert all(any(c[j] for c in h._terms.values()) for j in (0, 1))
+        # operands of unequal size also take the path that groups the first one
+        assert small.num_terms() < h1.num_terms()
+        for f, g in [(h1, h2), (h1, small), (small, h1)]:
+            bracket = poisson_bracket(f, g)
+            assert not bracket.is_zero()
+            assert bracket == slow_bracket(f, g) == -poisson_bracket(g, f)
+            assert ad_h0(bracket, spec).is_zero()
+
+
 class TestExponentWidth:
     """Exponents up to the field limit are exact; one more raises."""
 
@@ -324,6 +392,17 @@ class TestCanonicalForm:
         b = ZPolynomial.var(2, 1) * Fraction(1, 3) + ZPolynomial.var(2, 2)
         assert a + b == ZPolynomial.var(2, 1) * Fraction(1, 2) + ZPolynomial.var(2, 2)
         assert a == ZPolynomial.monomial(2, (1, 0), (0, 0), Fraction(1, 6))
+
+    def test_one_term_products_are_in_lowest_terms(self):
+        half_z1 = ZPolynomial.monomial(2, (1, 0), (0, 0), Fraction(1, 2))
+        two_z1c = ZPolynomial.monomial(2, (0, 0), (1, 0), 2)
+        i_third_z1 = ZPolynomial.monomial(2, (1, 0), (0, 0), ComplexRational.of(0, Fraction(1, 3)))
+        three_i_z2 = ZPolynomial.monomial(2, (0, 1), (0, 0), ComplexRational.of(0, 3))
+        for product, expected in [(half_z1 * two_z1c, ZPolynomial.monomial(2, (1, 0), (1, 0))),
+                                  (i_third_z1 * three_i_z2, ZPolynomial.monomial(2, (1, 1), (0, 0), -1))]:
+            assert product._den == 1
+            assert product == expected
+            assert_canonical(product)
 
     def test_str_prints_lowest_terms(self):
         p = ZPolynomial.monomial(2, (1, 0), (0, 1), 3) * Fraction(1, 6)
