@@ -441,26 +441,21 @@ def spectrum(model: HamiltonianModel, pmax: int, n3max: int
     return blocks, rows
 
 
-def write_spectrum_csv(out: TextIO, rows: Iterable[tuple[int, int, int, float]]) -> int:
+def write_spectrum_csv(out: TextIO, rows: Iterable[tuple[int, int, int, float]]) -> None:
     out.write("P,n3,index,energy_cm1\n")
-    count = 0
     for P, n3, idx, energy in rows:
         out.write(f"{P},{n3},{idx},{energy:.10g}\n")
-        count += 1
-    return count
 
 
-def write_spectrum_json(out: TextIO, rows: Iterable[tuple[int, int, int, float]]) -> int:
+def write_spectrum_json(out: TextIO, rows: Iterable[tuple[int, int, int, float]]) -> None:
     """The text of ``json.dump(records, out, indent=2)`` plus a newline, one
     record {"P", "n3", "index", "energy_cm1"} per row, written as it goes.
 
     Energies are finite floats, whose repr is the text json gives them.
     """
-    count = 0
+    sep = "["  # what comes before the next record
     for P, n3, idx, energy in rows:
-        out.write(",\n" if count else "[\n")
-        out.write(f'  {{\n    "P": {P},\n    "n3": {n3},\n    "index": {idx},\n'
+        out.write(f'{sep}\n  {{\n    "P": {P},\n    "n3": {n3},\n    "index": {idx},\n'
                   f'    "energy_cm1": {energy!r}\n  }}')
-        count += 1
-    out.write("\n]\n" if count else "[]\n")
-    return count
+        sep = ","
+    out.write("[]\n" if sep == "[" else "\n]\n")

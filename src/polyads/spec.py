@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-# Most modes a model file or a census may have. The parser builds length-n
-# exponent vectors for every term line, and the census recursion is n calls
-# deep, so a mistyped n must fail before any of them is built; 64 is above
-# any vibrational model the grammar is for (a 22-atom molecule has
-# 3 * 22 - 6 = 60 modes).
+# Most modes a model file, a census or a ResonanceSpec may have. The parser
+# builds length-n exponent vectors for every term line, and the census
+# recursion is n calls deep, so a mistyped n must fail before any of them is
+# built; 64 is above any vibrational model the grammar is for (a 22-atom
+# molecule has 3 * 22 - 6 = 60 modes).
 MAX_MODES = 64
 # Highest expansion order that `enumerate` and `audit` walk. At order N the
 # coupling census has about N^2 / (2 (p+q)) blocks, and the audit sums about
@@ -61,6 +61,8 @@ class ResonanceSpec(_SpecFields):
     def __new__(cls, n: int, p: int, q: int):
         if n < 2:
             raise ValueError("need n >= 2 oscillators")
+        if n > MAX_MODES:
+            raise ValueError(f"need n <= {MAX_MODES} oscillators")
         # before check_ladder, so that 2:4 reads as the wrong way round
         if q > p >= 1:
             raise ValueError("expected p >= q")

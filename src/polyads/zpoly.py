@@ -31,6 +31,13 @@ EXP_BITS = 16
 MAX_DEGREE = (1 << EXP_BITS) - 1
 
 
+def _exact(x: int | Fraction) -> int | Fraction:
+    """``x``, if it is an int or a Fraction; a float would bring in its binary expansion."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"exact scalars are int, Fraction or ComplexRational, not {type(x).__name__}")
+
+
 class ComplexRational(NamedTuple):
     """A complex number with exact rational real and imaginary parts."""
 
@@ -39,7 +46,7 @@ class ComplexRational(NamedTuple):
 
     @staticmethod
     def of(re: int | Fraction, im: int | Fraction = 0) -> "ComplexRational":
-        return ComplexRational(Fraction(re), Fraction(im))
+        return ComplexRational(Fraction(_exact(re)), Fraction(_exact(im)))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -55,9 +62,7 @@ Scalar = ComplexRational | int | Fraction
 
 def _split(c: Scalar) -> tuple[int, int, int]:
     """Numerators (re, im) of a scalar over their least positive denominator."""
-    parts = c if isinstance(c, ComplexRational) else (c, 0)
-    # ints and Fractions are taken as they are: both have numerator and denominator
-    re, im = (x if type(x) in (int, Fraction) else Fraction(x) for x in parts)
+    re, im = map(_exact, c if isinstance(c, ComplexRational) else (c, 0))
     den = math.lcm(re.denominator, im.denominator)
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 

@@ -59,6 +59,8 @@ class TestResonanceSpec:
         # input that breaks two rules gets the message of the first rule
         ((2, 2, 4), "expected p >= q"),
         ((2, 0, 4), "p and q must be positive"),
+        # over MAX_MODES
+        ((65, 2, 1), "need n <= 64 oscillators"),
     ])
     def test_every_construction_validates(self, fields, message):
         good = ResonanceSpec(3, 2, 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -96,6 +97,19 @@ class TestComplexRational:
         a = ZPolynomial.constant(2, ComplexRational.of(1, 2))
         assert a * 3 == ZPolynomial.constant(2, ComplexRational.of(3, 6))
         assert a * Fraction(1, 2) == ZPolynomial.constant(2, ComplexRational.of(Fraction(1, 2), 1))
+
+    @pytest.mark.parametrize("scalar", [0.1, Decimal("0.1"), ComplexRational(0.5, 0)],
+                             ids=["float", "decimal", "float-parts"])
+    @pytest.mark.parametrize("build", [
+        lambda c: ZPolynomial.monomial(2, (1, 0), (0, 0), c),
+        lambda c: ZPolynomial.constant(2, c),
+        lambda c: ZPolynomial.var(2, 1) * c,
+        lambda c: ComplexRational.of(1, c),
+    ], ids=["monomial", "constant", "scalar-product", "of"])
+    def test_inexact_scalar_is_refused(self, build, scalar):
+        # a float would enter as its binary expansion: 0.1 is not 1/10
+        with pytest.raises(TypeError):
+            build(scalar)
 
 
 class TestZPolynomial:
