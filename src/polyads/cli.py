@@ -75,6 +75,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+_GRIDS = {"table1": ("single-action coupling deltas", "N", "p+q={}", 3),
+          "table2": ("two-action coupling deltas", "N", "p+q={}", 3),
+          "table3": ("totals for two modes at order 10", "p+q", "{}", 2)}
+
+
+def _grid(rows: list, title: str, corner: str, heading: str, gap: int) -> str:
+    """The checked values of one table's cells under ``title``: a row per key[0] and a
+    column per key[1], each column as wide as its heading and ``gap`` blanks."""
+    cells = {key: got for _, key, _, got, _ in rows}
+    cols = dict.fromkeys(c for _, c in cells)
+    head = [corner, *map(heading.format, cols)]
+    body = [[r, *(cells[r, c] for c in cols)] for r in dict.fromkeys(r for r, _ in cells)]
+    lines = ("".join(f"{v:<{len(h) + gap}}" for v, h in zip(row, head)).rstrip()
+             for row in [head, *body])
+    return "\n".join([f"== {title} ==", *lines]) + "\n"
+
+
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
     from .counting import verify_tables
 
@@ -101,7 +118,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = []
+        lines = [_grid(cells, *_GRIDS[table]) + "\n" for table, cells in per_table.items()]
         for table, table_rows in sorted(per_table.items()):
             good = sum(1 for r in table_rows if r[4])
             lines.append(f"{table}: {good}/{len(table_rows)} cells match\n")

@@ -166,8 +166,6 @@ def dunham_blocks(n: int, N: int) -> list[Block]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if N < 4:
-        raise ValueError("need N >= 4")
     check_order(N)
     return [(None, 0, t, n) for t in range(1, N // 2 + 1)]
 

@@ -40,7 +40,6 @@ from polyads.spec import MAX_MODES
 
 FIXTURE = Path(polyads.__file__).parent / "data" / "cloh.model"
 PACKAGE_ROOT = str(Path(polyads.__file__).parents[1])
-SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 MINIMAL = """\
 n=2
@@ -344,12 +343,17 @@ class TestCountCommand:
 
 class TestEnumerateCommand:
     def test_json_census_size(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--kind", "both", "--n", "3",
-                           "--p", "2", "--q", "1", "--order", "10",
-                           "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload) == 115  # census operators: 55 number + 60 coupling
+        # census operators, as count's n_op says: 55 number + 60 coupling at order 10,
+        # the three degree-1 slots and s-1, s0 at order 3, the degree-1 slots at order 2
+        for order, total in [(10, 115), (3, 5), (2, 3)]:
+            code, out, _ = run(capsys, "enumerate", "--kind", "both", "--n", "3",
+                               "--p", "2", "--q", "1", "--order", str(order),
+                               "--format", "json")
+            assert code == 0
+            assert len(json.loads(out)) == total
+            code, out, _ = run(capsys, "count", "--n", "3", "--p", "2", "--q", "1",
+                               "--order", str(order), "--format", "json")
+            assert json.loads(out)["n_op"] == total
 
     def test_table_total_line(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "dunham", "--n", "3",
@@ -466,6 +470,29 @@ class TestVerifyTablesCommand:
         assert "table2: 51/52 cells match" in out
         assert "MISMATCH table2[N=10,p+q=3]: expected 1234, got 4" in out
         assert "1 cells differ" in out
+        # the grid shows the value that was checked, not the reference
+        grid = out.split("\n\n")[1]
+        assert "10  10      4       3       1" in grid.splitlines()
+        assert "1234" not in grid
+
+    def test_grids_print_the_frozen_cells(self, capsys):
+        from polyads.counting import DELTA1_REFERENCE, DELTA2_REFERENCE, TOTALS_REFERENCE_N10
+        code, out, _ = run(capsys, "verify-tables")
+        assert code == 0
+        *grids, _ = out.split("\n\n")
+        cells = {}
+        for table, grid in zip(("table1", "table2", "table3"), grids):
+            _, head, *body = grid.splitlines()
+            columns = [int(c[4:]) if c.startswith("p+q=") else c for c in head.split()[1:]]
+            for line in body:
+                row, *values = map(int, line.split())
+                cells.update({(table, row, c): v for c, v in zip(columns, values)})
+        frozen = {("table1", *key): v for key, v in DELTA1_REFERENCE.items()}
+        frozen.update({("table2", *key): v for key, v in DELTA2_REFERENCE.items()})
+        frozen.update({("table3", s, c): v for s, row in TOTALS_REFERENCE_N10.items()
+                       for c, v in zip(("n_coef", "n_op", "n_c"), row)})
+        assert len(cells) == 124
+        assert cells == frozen
 
     def test_failed_totals_cell_is_named_by_column_and_count(self, capsys, monkeypatch):
         import polyads.counting as counting
@@ -486,13 +513,21 @@ class TestVerifyTablesCommand:
         assert data["cells"] == 124
         assert data["failures"] == []
 
-    # digests taken while the closed forms were evaluated in Fraction arithmetic
+    # digests taken while the closed forms were evaluated in Fraction arithmetic and the
+    # table text was the verdict alone, which is now the text after the grids' blank lines
     @pytest.mark.parametrize("fmt,digest", [
         ("json", "e8b04e40be0f28a857e28cd48a09f4b94bc1150325e83651de0fedb59ae1aca6"),
         ("table", "6745326f34c4a511b9c69ce78ba4e3f66adfb5286c8914aba73c81ed07907b24"),
     ])
     def test_output_digest_pinned(self, capsys, tmp_path, fmt, digest):
-        assert digest_of(capsys, tmp_path, "verify-tables", "--format", fmt) == digest
+        out_file = tmp_path / "verify.out"
+        code, out, _ = run(capsys, "verify-tables", "--format", fmt, "--out", str(out_file))
+        assert (code, out) == (0, "")
+        text = out_file.read_bytes()
+        assert hashlib.sha256(text.split(b"\n\n")[-1]).hexdigest() == digest
+        if fmt == "table":  # the whole text, grids included
+            assert (hashlib.sha256(text).hexdigest()
+                    == "afb738b9443bd86de0f0f7903c830205eeb616a93813194239c0d7ca752f331c")
 
 
 class TestAuditCommand:
@@ -854,17 +889,6 @@ def test_bad_ladder_is_usage_error(capsys, argv, p, q, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv, printed", [
-    (["make_tables.py"], "\nall frozen cells match\n"),
-], ids=["make_tables"])
-def test_script_runs_at_small_size(tmp_path, argv, printed):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]], cwd=tmp_path,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
-    assert proc.returncode == 0, proc.stderr
-    assert printed in proc.stdout
-
-
 def imports_of(argv: list[str]) -> set[str]:
     """Modules that ``python -X importtime argv`` imports; the run must succeed."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
@@ -882,8 +906,6 @@ def bare_imports() -> set[str]:
 
 class TestPackaging:
     def test_module_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "polyads", "count", "--n", "3", "--p", "2",
              "--q", "1", "--order", "10"],
@@ -986,7 +1008,7 @@ class TestPackaging:
         (["--help"], {"dataclasses", "fractions", "json"}),
         (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
          {"dataclasses", "fractions"}),
-        (["verify-tables"], {"dataclasses", "fractions"}),
+        (["verify-tables"], {"dataclasses", "fractions", "json"}),
         (["enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
          {"dataclasses", "fractions", "json"}),
         (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],

@@ -138,7 +138,7 @@ def rule_census(n, N, p, q, families):
 
 class TestEnumeration:
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 4), N=st.integers(4, 16), pq=st_pq)
+    @given(n=st.integers(1, 4), N=st.integers(0, 16), pq=st_pq)
     def test_census_is_the_rule_in_canonical_order(self, n, N, pq):
         p, q = pq
         censuses = [(enumerate_dunham(n, N), (None,))]
@@ -184,8 +184,9 @@ class TestEnumeration:
     def test_enumeration_validation(self):
         with pytest.raises(ValueError):
             enumerate_dunham(0, 8)
-        with pytest.raises(ValueError):
-            enumerate_dunham(2, 3)
+        # below order 4 the census still holds the degree-1 slots
+        assert list(enumerate_dunham(2, 3)) == [GenMonomial(None, 0, (1, 0)),
+                                                GenMonomial(None, 0, (0, 1))]
         with pytest.raises(ValueError):
             enumerate_coupling(1, 8, 2, 1)
         with pytest.raises(ValueError):

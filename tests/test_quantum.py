@@ -36,7 +36,6 @@ from polyads.model import (
 )
 from polyads.quantum import (
     MAX_BOX_STATES,
-    PolyadBlock,
     apply_term,
     build_block,
     conserved_lattice,
