@@ -10,17 +10,20 @@ from __future__ import annotations
 import math
 import os
 import stat
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .spec import MAX_MODES, MAX_ORDER, ResonanceSpec
 
 TermKind = Literal["dunham", "coupling", "extra"]
 
 
-@dataclass(frozen=True)
-class TermSpec:
+_TermFields = NamedTuple("_TermFields", [
+    ("kind", TermKind), ("raise_exps", tuple[int, ...]), ("lower_exps", tuple[int, ...]),
+    ("num_exps", tuple[int, ...]), ("coeff", float), ("coeff_text", Optional[str])])
+
+
+class TermSpec(_TermFields):
     """One coefficient slot: the operator a+^raise a^lower N^num plus its
     transpose, the three exponent vectors of length n each.
 
@@ -29,32 +32,35 @@ class TermSpec:
     restricts the shape: "dunham" is a number string alone (no ladder, the
     pair collapses to the one diagonal operator), "coupling" a power of the
     resonance ladder (see coupling_term) and "extra" a bare ladder pair with
-    no number string. Every off-diagonal term shifts occupation.
+    no number string. Every off-diagonal term shifts occupation. A named
+    tuple, validated on every construction.
     """
 
-    kind: TermKind
-    raise_exps: tuple[int, ...]
-    lower_exps: tuple[int, ...]
-    num_exps: tuple[int, ...]
-    coeff: float = 0.0
-    coeff_text: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("dunham", "coupling", "extra"):
-            raise ValueError(f"unknown term kind {self.kind!r}")
-        if not len(self.raise_exps) == len(self.lower_exps) == len(self.num_exps):
+    def __new__(cls, kind: TermKind, raise_exps: tuple[int, ...], lower_exps: tuple[int, ...],
+                num_exps: tuple[int, ...], coeff: float = 0.0, coeff_text: Optional[str] = None):
+        if kind not in ("dunham", "coupling", "extra"):
+            raise ValueError(f"unknown term kind {kind!r}")
+        if not len(raise_exps) == len(lower_exps) == len(num_exps):
             raise ValueError("raise, lower and number exponents need one length")
-        if min(self.raise_exps + self.lower_exps + self.num_exps, default=0) < 0:
+        if min(raise_exps + lower_exps + num_exps, default=0) < 0:
             raise ValueError("exponents are non-negative")
-        if self.kind == "dunham":
-            if any(self.raise_exps) or any(self.lower_exps):
+        if kind == "dunham":
+            if any(raise_exps) or any(lower_exps):
                 raise ValueError("dunham terms are pure number strings")
-            if not any(self.num_exps):
+            if not any(num_exps):
                 raise ValueError("dunham term needs at least one factor")
-        elif not any(self.shift):
-            raise ValueError(f"{self.kind} term must shift occupation")
-        elif self.kind == "extra" and any(self.num_exps):
+        elif raise_exps == lower_exps:
+            raise ValueError(f"{kind} term must shift occupation")
+        elif kind == "extra" and any(num_exps):
             raise ValueError("extra terms carry only ladder vectors")
+        return tuple.__new__(cls, (kind, raise_exps, lower_exps, num_exps, coeff, coeff_text))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "TermSpec":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     @property
     def key(self) -> tuple:
@@ -101,30 +107,36 @@ def coupling_term(spec: ResonanceSpec, m: int, num_exps: Sequence[int],
                     tuple(num_exps), coeff, coeff_text)
 
 
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """A resonance spec plus the full list of coefficient slots."""
+_ModelFields = NamedTuple("_ModelFields", [
+    ("spec", ResonanceSpec), ("order", int), ("terms", tuple[TermSpec, ...])])
 
-    spec: ResonanceSpec
-    order: int
-    terms: tuple[TermSpec, ...]
 
-    def __post_init__(self):
-        spec = self.spec
+class HamiltonianModel(_ModelFields):
+    """A resonance spec plus every coefficient slot, validated on every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, spec: ResonanceSpec, order: int, terms: tuple[TermSpec, ...]):
         seen = set()
-        for t in self.terms:
+        for t in terms:
             key = t.key
             if key in seen:
                 raise ValueError(f"duplicate term {key}")
             seen.add(key)
             if len(t.num_exps) != spec.n:
                 raise ValueError(f"term {key} does not match n={spec.n}")
-            if t.degree > self.order:
-                raise ValueError(f"term {key} has degree {t.degree}, over order {self.order}")
+            if t.degree > order:
+                raise ValueError(f"term {key} has degree {t.degree}, over order {order}")
             m = t.raise_exps[0] // spec.p
             if t.kind == "coupling" and (
                     m < 1 or key != coupling_term(spec, m, t.num_exps).key):
                 raise ValueError(f"term {key} is no power of the {spec.p}:{spec.q} ladder")
+        return tuple.__new__(cls, (spec, order, terms))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "HamiltonianModel":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def dunham_terms(self) -> list[TermSpec]:
         return [t for t in self.terms if t.kind == "dunham"]
@@ -144,7 +156,7 @@ class HamiltonianModel:
 
     def without_couplings(self) -> "HamiltonianModel":
         """Copy with every off-diagonal coefficient set to zero."""
-        terms = tuple(t if t.kind == "dunham" else replace(t, coeff=0.0, coeff_text="0")
+        terms = tuple(t if t.kind == "dunham" else t._replace(coeff=0.0, coeff_text="0")
                       for t in self.terms)
         return HamiltonianModel(self.spec, self.order, terms)
 
@@ -307,9 +319,10 @@ def parse_model_text(text: str) -> HamiltonianModel:
             raise ModelFileError(line_no, str(exc)) from None
         if term.degree > order:
             raise ModelFileError(line_no, f"degree {term.degree} exceeds order {order}")
-        if term.key in seen:
+        key = term.key
+        if key in seen:
             raise ModelFileError(line_no, f"duplicate term {line!r}")
-        seen.add(term.key)
+        seen.add(key)
         terms.append(term)
 
     if spec is None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -169,30 +168,40 @@ def state_label(f: FockState, lattice: Sequence[Sequence[int]]) -> tuple[int, ..
 # -- blocks ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class PolyadBlock:
     """One conserved-label block: its basis and its spectrum.
 
-    The call that diagonalises a block does not keep its matrix. The first
-    read of ``matrix`` assembles it again, through the same assembler, over
-    the tight caps of the basis (the largest occupation of each mode), and
+    A block holds a view of its occupation rows; ``basis``, the rows as a
+    tuple of states, is built on first read and cached. The call that
+    diagonalises a block does not keep its matrix. The first read of
+    ``matrix`` assembles it again, through the same assembler, over the
+    tight caps of the basis (the largest occupation of each mode), and
     caches it read-only: every branch that stays in the block stays in that
     box, so the entries are the same bit for bit, and no eigensolve runs.
     """
 
-    label: tuple[int, ...]
-    basis: tuple[FockState, ...]
-    eigenvalues: tuple[float, ...]
-    # model and lattice that rebuild the matrix
-    _source: tuple = field(repr=False)
+    __slots__ = ("label", "eigenvalues", "_occ", "_source", "_basis", "_matrix")
 
-    @functools.cached_property
+    def __init__(self, label: tuple[int, ...], occ: np.ndarray,
+                 eigenvalues: tuple[float, ...], source: tuple):
+        # source: the model and lattice that rebuild the matrix
+        self.label, self.eigenvalues, self._occ, self._source = label, eigenvalues, occ, source
+        self._basis = self._matrix = None
+
+    @property
+    def basis(self) -> tuple[FockState, ...]:
+        if self._basis is None:
+            self._basis = tuple(map(tuple, self._occ.tolist()))
+        return self._basis
+
+    @property
     def matrix(self) -> np.ndarray:
-        model, lattice = self._source
-        caps = np.max(self.basis, axis=0).tolist()
-        (*_, mat), = _assemble(model, caps, lattice, _has_label(self.label))
-        mat.flags.writeable = False
-        return mat
+        if self._matrix is None:
+            model, lattice = self._source
+            caps = self._occ.max(axis=0).tolist()
+            (_, _, (self._matrix,)), = _assemble(model, caps, lattice, _has_label(self.label))
+            self._matrix.flags.writeable = False
+        return self._matrix
 
 
 # Largest caps box a call allocates: every candidate occupation vector is
@@ -238,9 +247,9 @@ def _has_label(label: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
 def _assemble(model: HamiltonianModel, caps: Sequence[int],
               lattice: Sequence[Sequence[int]],
               select: Callable[[np.ndarray], np.ndarray]
-              ) -> Iterator[tuple[tuple[int, ...], tuple[FockState, ...], np.ndarray]]:
-    """Label, basis and matrix of each block of the caps box whose labels
-    pass ``select``, one chunk of blocks at a time.
+              ) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]]:
+    """Labels, occupation rows and matrices of the blocks of the caps box
+    whose labels pass ``select``, one run of equal-size blocks at a time.
 
     ``select`` maps the labels of the box rows to a mask. Blocks come in
     label order, each basis lexicographic. Caps over MAX_BOX_STATES
@@ -249,10 +258,12 @@ def _assemble(model: HamiltonianModel, caps: Sequence[int],
     with an entry that is not finite, before any of its blocks is yielded.
 
     Consecutive blocks share one float64 buffer while their entries stay
-    within CHUNK_ENTRIES, and the matrices yielded are views of it: a
-    consumer that keeps only what it derives from them holds at most two
-    chunks at once. Each term's label test, ladder tables, integer type and
-    box step are prepared once per call; the chunk loop only gathers.
+    within CHUNK_ENTRIES. Each maximal run of k consecutive blocks of one
+    dimension d in a chunk lies back to back in it, and comes as k labels,
+    a (k, d, n) view of the occupation rows and a (k, d, d) view of the
+    buffer: a consumer that keeps only what it derives from them holds at
+    most two chunks at once. Each term's label test, ladder tables, integer
+    type and box step are prepared once per call; the chunk loop only gathers.
 
     A state's key is its box row, and each term is applied once to every
     kept state. A term whose shift changes the label leaves every block and
@@ -361,10 +372,12 @@ def _assemble(model: HamiltonianModel, caps: Sequence[int],
             block = b0 + np.searchsorted(offset[b0:b1], bad[0], side="right") - 1
             raise ValueError(f"block {tuple(keys[first[block]].tolist())} has matrix entries "
                              "that are not finite")
-        states = list(map(tuple, part.tolist()))
-        for i, label in zip(range(b0, b1), keys[first[b0:b1]].tolist()):
-            o, d, s = offset[i], dim[i], first[i] - r0
-            yield tuple(label), tuple(states[s:s + d]), buf[o:o + d * d].reshape(d, d)
+        # where each run of blocks of one size starts, then the chunk's end
+        runs = [b0, *(b0 + 1 + np.flatnonzero(np.diff(dim[b0:b1]))).tolist(), b1]
+        for i, j in zip(runs, runs[1:]):
+            o, d, s, k = offset[i], dim[i], first[i] - r0, j - i
+            yield (list(map(tuple, keys[first[i:j]].tolist())),
+                   part[s:s + k * d].reshape(k, d, n), buf[o:o + k * d * d].reshape(k, d, d))
         del buf
 
 
@@ -373,10 +386,12 @@ def _blocks(model: HamiltonianModel, caps: Sequence[int],
             select: Callable[[np.ndarray], np.ndarray]
             ) -> Iterator[tuple[PolyadBlock, np.ndarray]]:
     """Each block of _assemble with its eigenvalues, one eigvalsh call per
-    block, and the matrix they came from, a view that keeps its chunk alive."""
-    for label, basis, mat in _assemble(model, caps, lattice, select):
-        yield PolyadBlock(label, basis, tuple(np.linalg.eigvalsh(mat).tolist()),
-                          (model, lattice)), mat
+    run of equal-size blocks, and the matrix they came from, a view that
+    keeps its chunk alive."""
+    source = (model, lattice)
+    for labels, occ, mats in _assemble(model, caps, lattice, select):
+        for label, rows, levels, mat in zip(labels, occ, np.linalg.eigvalsh(mats).tolist(), mats):
+            yield PolyadBlock(label, rows, tuple(levels), source), mat
 
 
 def build_block(model: HamiltonianModel, label: Sequence[int],
@@ -396,7 +411,7 @@ def build_block(model: HamiltonianModel, label: Sequence[int],
         raise ValueError(f"no basis states for label {label}")
     (block, mat), = found
     mat.flags.writeable = False
-    vars(block)["matrix"] = mat  # assembled already: fill the property's cache
+    block._matrix = mat  # assembled already: fill the property's cache
     return block
 
 
@@ -436,8 +451,8 @@ def spectrum(model: HamiltonianModel, pmax: int, n3max: int
     caps = (pmax // spec.q, pmax // spec.p, n3max)[:spec.n]
     blocks = [b for b, _ in _blocks(model, caps, polyad_lattice(spec),
                                     lambda labels: labels[:, 0] <= pmax)]
-    rows = [(*(b.label + (0,))[:2], idx, energy)
-            for b in blocks for idx, energy in enumerate(b.eigenvalues)]
+    rows = [(P, n3, idx, energy) for b in blocks for P, n3 in [(b.label + (0,))[:2]]
+            for idx, energy in enumerate(b.eigenvalues)]
     return blocks, rows
 
 

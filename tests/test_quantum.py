@@ -9,11 +9,11 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +146,40 @@ class TestTermSpec:
         extra = TermSpec("extra", (0, 0, 1), (0, 3, 0), (0, 0, 0))
         assert (extra.shift, extra.degree) == ((0, -3, 1), 4)
 
+    @pytest.mark.parametrize("fields, message", [
+        (("quartic", (0, 0), (0, 0), (1, 0)), "unknown term kind 'quartic'"),
+        (("extra", (0, 1, 0), (), (0, 0, 0)),
+         "raise, lower and number exponents need one length"),
+        (("extra", (0, -1, 0), (1, 0, 0), (0, 0, 0)), "exponents are non-negative"),
+        (("dunham", (1, 0), (0, 0), (1, 0)), "dunham terms are pure number strings"),
+        (("dunham", (0, 0), (0, 0), (0, 0)), "dunham term needs at least one factor"),
+        (("coupling", (0, 0, 0), (0, 0, 0), (1, 0, 0)), "coupling term must shift occupation"),
+        (("extra", (0, 1, 0), (0, 1, 0), (0, 0, 0)), "extra term must shift occupation"),
+        (("extra", (0, 0, 1), (0, 3, 0), (1, 0, 0)), "extra terms carry only ladder vectors"),
+    ])
+    def test_every_construction_validates(self, fields, message):
+        good = TermSpec("extra", (0, 0, 1), (0, 3, 0), (0, 0, 0), 0.5, "0.5")
+        fields += (1.0, "1.0")
+        named = dict(zip(TermSpec._fields, fields))
+        builds = [
+            lambda: TermSpec(*fields),
+            lambda: TermSpec(**named),
+            lambda: TermSpec._make(fields),
+            lambda: good._replace(**named),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_terms_are_the_tuples_of_their_fields(self):
+        t = TermSpec("extra", (0, 0, 1), (0, 3, 0), (0, 0, 0), 0.5, "0.5")
+        assert t == ("extra", (0, 0, 1), (0, 3, 0), (0, 0, 0), 0.5, "0.5")
+        assert hash(t) == hash(tuple(t)) and TermSpec._make(t) == t
+        kind, raise_exps, *_, coeff_text = t
+        assert (kind, raise_exps, coeff_text) == ("extra", (0, 0, 1), "0.5")
+        assert t._replace(coeff=2.0).coeff == 2.0
+        assert TermSpec("dunham", (0,), (0,), (1,)).coeff_text is None
+
     def test_coeff_str_prefers_source_text(self):
         t = number_string((1,), coeff=-7.123, coeff_text="-7.123")
         assert t.coeff_str() == "-7.123"
@@ -183,6 +217,47 @@ class TestModel:
         t = TermSpec("coupling", raise_exps, lower_exps, (0, 0, 0), coeff=1.0)
         with pytest.raises(ValueError, match="no power of the 2:1 ladder"):
             HamiltonianModel(spec=SPEC21, order=10, terms=(t,))
+
+    @pytest.mark.parametrize("terms, order, message", [
+        ((number_string((1, 0, 0)), number_string((1, 0, 0), coeff=2.0)), 10,
+         "duplicate term {key}"),
+        ((number_string((1, 0)),), 10, "term {key} does not match n=3"),
+        ((number_string((2, 1, 0)),), 5, "term {key} has degree 6, over order 5"),
+        ((TermSpec("coupling", (1, 0, 0), (0, 1, 0), (0, 0, 0)),), 10,
+         "term {key} is no power of the 2:1 ladder"),
+    ], ids=["duplicate", "length", "degree", "ladder"])
+    def test_every_construction_validates(self, terms, order, message):
+        message = message.format(key=terms[-1].key)
+        good = cloh_model()
+        fields = (SPEC21, order, terms)
+        named = dict(zip(HamiltonianModel._fields, fields))
+        builds = [
+            lambda: HamiltonianModel(*fields),
+            lambda: HamiltonianModel(**named),
+            lambda: HamiltonianModel._make(fields),
+            lambda: good._replace(**named),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_without_couplings_validates(self):
+        # built past the checks, a bad term or model cannot come out again
+        bad_term = tuple.__new__(TermSpec, ("extra", (0, 0, 1), (0, 3, 0), (1, 0, 0), 1.0, None))
+        bad = tuple.__new__(HamiltonianModel, (SPEC21, 10, (bad_term,)))
+        with pytest.raises(ValueError, match="^extra terms carry only ladder vectors$"):
+            bad.without_couplings()
+        t = number_string((1, 0, 0), coeff=1.0)
+        twice = tuple.__new__(HamiltonianModel, (SPEC21, 10, (t, t)))
+        with pytest.raises(ValueError, match="^duplicate term"):
+            twice.without_couplings()
+
+    def test_models_are_the_tuples_of_their_fields(self):
+        m = cloh_model()
+        spec, order, terms = m
+        assert m == (spec, order, terms) and hash(m) == hash((spec, order, terms))
+        assert (spec, order, len(terms)) == (SPEC21, 10, 86)
+        assert m._replace(order=12) == HamiltonianModel(SPEC21, 12, terms)
 
     def test_counts_and_split(self):
         m = cloh_model()
@@ -313,9 +388,9 @@ class TestLattices:
 
     def test_fermi_only_lattice(self):
         m = cloh_model()
-        fermi_only = replace(
-            m, terms=tuple(t if t.kind != "extra" else replace(t, coeff=0.0, coeff_text="0")
-                           for t in m.terms))
+        fermi_only = m._replace(
+            terms=tuple(t if t.kind != "extra" else t._replace(coeff=0.0, coeff_text="0")
+                        for t in m.terms))
         assert conserved_lattice(fermi_only) == [(1, 2, 0), (0, 0, 1)]
 
     def test_full_model_lattice_merges_modes(self):
@@ -683,7 +758,7 @@ def _seeded_model(spec, order, seed, extras=()):
     for slot in census_terms(spec, order):
         degree = sum(slot.num_exps) + slot.raise_exps[0] // spec.p
         value = rng.uniform(-1.0, 1.0) * 10.0 ** (3 - degree)
-        terms.append(replace(slot, coeff=value, coeff_text=repr(value)))
+        terms.append(slot._replace(coeff=value, coeff_text=repr(value)))
     return HamiltonianModel(spec=spec, order=order, terms=tuple(terms))
 
 
@@ -904,7 +979,7 @@ class TestFullMatrixOracle:
         (row,) = conserved_lattice(model)
         assert row[:2] == (model.spec.q, model.spec.p) and row[2] > 0
         if not keep_extra:
-            model = replace(model, terms=tuple(t for t in model.terms if t.kind != "extra"))
+            model = model._replace(terms=tuple(t for t in model.terms if t.kind != "extra"))
         full = _full_matrix_levels(model, row, top)
         _, rows = spectrum(model, top, top // row[2])
         blocked = sorted(E for P, n3, _, E in rows if P + row[2] * n3 <= top)
@@ -951,21 +1026,46 @@ class TestChunks:
     def test_chunks_stay_within_the_bound(self):
         # greedy chunks of consecutive blocks: each stays within
         # CHUNK_ENTRIES unless it is one larger block, and the next block
-        # would not have fitted into it
+        # would not have fitted into it. A chunk comes as runs of blocks of
+        # one dimension, each run one view of the chunk's buffer, back to
+        # back, and consecutive runs differ in dimension
         model = _seeded_model(SPEC21_2, 12, seed=5)
-        chunks = []  # [buffer, its blocks' entries]
-        for *_, mat in quantum._assemble(model, (160, 80), polyad_lattice(SPEC21_2),
-                                         lambda labels: labels[:, 0] <= 160):
-            if not chunks or chunks[-1][0] is not mat.base:
-                chunks.append([mat.base, []])
-            chunks[-1][1].append(mat.size)
-        assert sum(len(areas) for _, areas in chunks) == 161
+        chunks = []  # [buffer, its blocks' entries, its runs' dimensions]
+        for labels, occ, mats in quantum._assemble(model, (160, 80), polyad_lattice(SPEC21_2),
+                                                   lambda labels: labels[:, 0] <= 160):
+            if not chunks or chunks[-1][0] is not mats.base:
+                chunks.append([mats.base, [], []])
+            buf, areas, dims = chunks[-1]
+            k, d, d2 = mats.shape
+            assert d == d2 and len(labels) == k and occ.shape == (k, d, 2)
+            assert mats.base is buf and mats.flags.c_contiguous
+            assert mats.ctypes.data == buf.ctypes.data + buf.itemsize * sum(areas)
+            areas += [d * d] * k
+            dims.append(d)
+        assert sum(len(areas) for _, areas, _ in chunks) == 161
         assert len(chunks) > 1
-        for (buf, areas), nxt in zip(chunks, chunks[1:] + [None]):
+        for (buf, areas, dims), nxt in zip(chunks, chunks[1:] + [None]):
             assert buf.size == sum(areas)
             assert buf.size <= quantum.CHUNK_ENTRIES or len(areas) == 1
+            assert all(a != b for a, b in zip(dims, dims[1:]))
             if nxt is not None:
                 assert buf.size + nxt[1][0] > quantum.CHUNK_ENTRIES
+
+    @pytest.mark.parametrize("model, pmax, n3max, blocks, calls", [
+        (cloh_model(), 44, 7, 360, 23),
+        (_seeded_model(SPEC21_2, 12, seed=5), 160, 0, 161, 85),
+    ], ids=["cloh", "seeded-2:1"])
+    def test_one_eigensolve_per_run_of_equal_dimensions(self, monkeypatch, model, pmax, n3max,
+                                                        blocks, calls):
+        # the spectrum-3mode and spectrum-2mode sizes: blocks of one
+        # dimension that follow each other in a chunk share one call
+        shapes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+        found, _ = spectrum(model, pmax, n3max)
+        assert len(found) == blocks
+        assert len(shapes) == calls
+        assert sum(k for k, _, _ in shapes) == blocks
 
     @pytest.mark.parametrize("pmax, bound", [(160, 4_000_000), (320, 10_000_000)])
     def test_peak_stays_small(self, pmax, bound):
