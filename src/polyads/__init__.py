@@ -4,12 +4,14 @@ The package splits along the natural fault lines of the problem: the
 problem sizes of one resonant system (:mod:`polyads.spec`), exact
 polynomial algebra over the oscillator variables (:mod:`polyads.zpoly`),
 the invariant generators with their bracket relations and reduced phase
-space (:mod:`polyads.resonance`), the monomial census with its brute-force
-oracles and population audit (:mod:`polyads.monomials`), the closed-form
-counting theorems and frozen reference tables (:mod:`polyads.counting`),
-the model's coefficient slots, its file grammar and the worked ClOH model
-(:mod:`polyads.model`), Fock-space assembly and block diagonalization
-(:mod:`polyads.quantum`), and a command line front end (:mod:`polyads.cli`).
+space (:mod:`polyads.resonance`), the census rule and its streaming writers
+(:mod:`polyads.census`), the census as monomial values
+(:mod:`polyads.monomials`), its brute-force oracles and population audit
+(:mod:`polyads.audit`), the closed-form counting theorems and frozen
+reference tables (:mod:`polyads.counting`), the model's coefficient slots,
+its file grammar and the worked ClOH model (:mod:`polyads.model`),
+Fock-space assembly and block diagonalization (:mod:`polyads.quantum`), and
+a command line front end (:mod:`polyads.cli`).
 
 Importing the package loads none of its submodules. Each public name is
 looked up in its home module on first access, so a caller pays only for
@@ -27,9 +29,9 @@ _HOME = {
     for module, names in {
         "counting": ("CountReport", "delta1_closed", "delta2_closed", "lambda_dunham",
                      "regenerate_table", "totals", "verify_tables"),
-        "monomials": ("CoupleC", "GenMonomial", "MultiplicityAudit", "audit_counting",
-                      "brute_force_delta1", "brute_force_delta2", "cumulative_multiplicity",
-                      "enumerate_coupling", "enumerate_dunham", "lambda_raw",
+        "audit": ("CoupleC", "MultiplicityAudit", "audit_counting", "brute_force_delta1",
+                  "brute_force_delta2", "cumulative_multiplicity", "lambda_raw"),
+        "monomials": ("GenMonomial", "enumerate_coupling", "enumerate_dunham",
                       "monomials_to_json", "sort_monomials"),
         "model": ("HamiltonianModel", "TermSpec", "census_terms", "cloh_model",
                   "coupling_term"),

@@ -36,11 +36,23 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         fh.write(text)
 
 
+def _json(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)``, without importing json, for
+    what the records here hold: ints, names that need no escape, lists, dicts."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items, ends = [f'"{key}": {_json(v, inner)}' for key, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        return f'"{value}"' if isinstance(value, str) else str(value)
+    return f"{ends[0]}{inner}{f',{inner}'.join(items)}{pad}{ends[1]}" if items else ends
+
+
 def _emit_record(data: dict, args: argparse.Namespace) -> None:
     """One flat record as indented JSON, or as an aligned key/value table."""
     if args.format == "json":
-        import json
-        text = json.dumps(data, indent=2) + "\n"
+        text = _json(data) + "\n"
     else:
         width = max(map(len, data))
         text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in data.items())
@@ -60,8 +72,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .monomials import (check_census, coupling_blocks, dunham_blocks, write_census_json,
-                            write_census_table)
+    from .census import (check_census, coupling_blocks, dunham_blocks, write_census_json,
+                         write_census_table)
 
     blocks = []
     if args.kind in ("dunham", "both"):
@@ -107,7 +119,6 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
         return f"{table}[N={key[0]},p+q={key[1]}]"
 
     if args.format == "json":
-        import json
         payload = {
             "cells": len(rows),
             "tables": {t: len(v) for t, v in sorted(per_table.items())},
@@ -116,7 +127,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
                 for t, key, exp, got, _ in failures
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload) + "\n", args.out)
     else:
         lines = [_grid(cells, *_GRIDS[table]) + "\n" for table, cells in per_table.items()]
         for table, table_rows in sorted(per_table.items()):
@@ -132,7 +143,7 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .monomials import audit_counting
+    from .audit import audit_counting
 
     _emit_record(audit_counting(args.order, args.p, args.q, args.kind)._asdict(), args)
     return 0

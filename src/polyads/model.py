@@ -169,7 +169,8 @@ def census_terms(spec: ResonanceSpec, order: int) -> tuple[TermSpec, ...]:
     total. A pair's two monomials differ only in the mixed generator, and
     the m = -1 member stands for it, so only the m = -1 blocks are walked.
     """
-    from .monomials import census_monomials, coupling_blocks, dunham_blocks
+    from .census import coupling_blocks, dunham_blocks
+    from .monomials import census_monomials
 
     n, zero = spec.n, (0,) * spec.n
     blocks = dunham_blocks(n, order) + [

@@ -21,7 +21,7 @@ MAX_MODES = 64
 # as many couple classes; `audit` takes 0.12 s at order 1000, growing as N^2.
 MAX_ORDER = 1000
 # Most records a census may list, and most exponent entries that the memo of
-# its enumeration may hold (see monomials.check_census). Every census walk
+# its enumeration may hold (see census.check_census). Every census walk
 # memoises only exponent suffixes, so what stays in memory is that memo, whose
 # entries the count bounds from above; the records bound the output and its
 # time. The largest census they accept peaks at 25.8 MB RSS (n = 8, 3:2, order

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from polyads.audit import audit_counting, brute_force_delta1, brute_force_delta2
 from polyads.counting import (
     DELTA1_REFERENCE,
     DELTA2_REFERENCE,
@@ -24,7 +25,6 @@ from polyads.counting import (
     delta2_closed,
     totals,
 )
-from polyads.monomials import audit_counting, brute_force_delta1, brute_force_delta2
 from polyads.model import HamiltonianModel, TermSpec, cloh_model, coupling_term
 from polyads.quantum import (
     apply_term,

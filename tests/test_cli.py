@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import polyads
 from polyads import resonance
+from polyads.audit import brute_force_delta2
 from polyads.cli import main
 from polyads.model import (
     MAX_FILE_BYTES,
@@ -32,7 +33,6 @@ from polyads.model import (
     parse_model_text,
     serialize_model,
 )
-from polyads.monomials import brute_force_delta2
 from polyads.quantum import dunham_energy
 from polyads.resonance import ResonanceSpec
 from polyads.spec import MAX_MODES
@@ -280,6 +280,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdout_of(*argv):
+    """Exit code and stdout of ``main(argv)``; hypothesis refuses capsys."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(list(argv))
+    return code, sink.getvalue()
+
+
+def assert_stdlib_json(text):
+    """``text`` is the ``json.dumps(..., indent=2)`` text of what it holds, and a newline."""
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+st_ladders = st.tuples(st.integers(1, 40), st.integers(1, 40)).filter(
+    lambda pq: math.gcd(*pq) == 1)
+
+
 def digest_of(capsys, tmp_path, *argv):
     """SHA-256 of what a successful ``argv`` writes to its --out file."""
     out_file = tmp_path / "command.out"
@@ -303,6 +320,14 @@ class TestCountCommand:
         assert code == 0
         data = json.loads(out)
         assert (data["n_coef"], data["n_op"], data["n_c"]) == (55, 90, 70)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, MAX_MODES), order=st.integers(0, 100_000), pq=st_ladders)
+    def test_json_is_the_stdlib_text(self, n, order, pq):
+        code, out = stdout_of("count", "--n", str(n), "--p", str(pq[0]), "--q", str(pq[1]),
+                              "--order", str(order), "--format", "json")
+        assert code == 0
+        assert_stdlib_json(out)
 
     # digests taken while CountReport was a dataclass and the closed forms
     # were evaluated in Fraction arithmetic
@@ -505,6 +530,16 @@ class TestVerifyTablesCommand:
         assert json.loads(out)["failures"] == [
             {"cell": "table3[p+q=3,n_coef]", "expected": 38, "got": 37}]
 
+    def test_json_with_failures_is_the_stdlib_text(self, capsys, monkeypatch):
+        import polyads.counting as counting
+        monkeypatch.setitem(counting.DELTA2_REFERENCE, (10, 3), 1234)
+        monkeypatch.setitem(counting.TOTALS_REFERENCE_N10, 3, (38, 54, 34))
+        code, out, _ = run(capsys, "verify-tables", "--format", "json")
+        assert code == 1
+        assert_stdlib_json(out)
+        assert [f["cell"] for f in json.loads(out)["failures"]] == [
+            "table2[N=10,p+q=3]", "table3[p+q=3,n_coef]"]
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "verify-tables", "--format", "json")
         assert code == 0
@@ -540,6 +575,14 @@ class TestAuditCommand:
         total = (data["pop_class_kprime"] + data["pop_other_classes"]
                  + data["switched_off_alpha"])
         assert total == data["lambda1_raw"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(0, 1000), pq=st_ladders, kind=st.sampled_from(["2", "3"]))
+    def test_json_is_the_stdlib_text(self, order, pq, kind):
+        code, out = stdout_of("audit", "--order", str(order), "--p", str(pq[0]),
+                              "--q", str(pq[1]), "--kind", kind, "--format", "json")
+        assert code == 0
+        assert_stdlib_json(out)
 
     @pytest.mark.parametrize("order, message", [
         ("-5", "need N >= 0"), ("1001", "need N <= 1000"), ("100000000", "need N <= 1000"),
@@ -993,16 +1036,20 @@ class TestPackaging:
     @pytest.mark.parametrize("argv, used, unused", [
         (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10"],
          "polyads.counting",
-         {"polyads.monomials", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
+         {"polyads.census", "polyads.monomials", "polyads.audit", "polyads.model",
+          "polyads.resonance", "polyads.zpoly"}),
         (["verify-tables"],
          "polyads.counting",
-         {"polyads.monomials", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
+         {"polyads.census", "polyads.monomials", "polyads.audit", "polyads.model",
+          "polyads.resonance", "polyads.zpoly"}),
         (["enumerate", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
-         "polyads.monomials",
-         {"polyads.counting", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
+         "polyads.census",
+         {"polyads.monomials", "polyads.audit", "polyads.counting", "polyads.model",
+          "polyads.resonance", "polyads.zpoly"}),
         (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],
-         "polyads.monomials",
-         {"polyads.counting", "polyads.model", "polyads.resonance", "polyads.zpoly"}),
+         "polyads.audit",
+         {"polyads.census", "polyads.monomials", "polyads.counting", "polyads.model",
+          "polyads.resonance", "polyads.zpoly"}),
     ], ids=["count", "verify-tables", "enumerate", "audit"])
     def test_census_commands_import_only_their_module(self, argv, used, unused):
         imported = imports_of(["-m", "polyads", *argv])
@@ -1018,12 +1065,18 @@ class TestPackaging:
          {"dataclasses", "fractions", "json"}),
         (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3"],
          {"dataclasses", "fractions"}),
+        (["count", "--n", "3", "--p", "2", "--q", "1", "--order", "10", "--format", "json"],
+         {"json"}),
+        (["audit", "--order", "30", "--p", "2", "--q", "1", "--kind", "3", "--format", "json"],
+         {"json"}),
+        (["verify-tables", "--format", "json"], {"json"}),
         (["spectrum", "--model", str(FIXTURE), "--pmax", "4"],
          {"polyads.resonance", "polyads.zpoly", "fractions", "dataclasses", "json"}),
         (["phase-space", "--p", "3", "--q", "2", "--h0", "3.0", "--sigma", "0.2",
           "--samples", "5"],
          {"polyads.zpoly", "fractions", "dataclasses", "json"}),
-    ], ids=["help", "count", "verify-tables", "enumerate", "audit", "spectrum", "phase-space"])
+    ], ids=["help", "count", "verify-tables", "enumerate", "audit", "count-json", "audit-json",
+            "verify-tables-json", "spectrum", "phase-space"])
     def test_start_up_leaves_unused_modules_unloaded(self, bare_imports, numpy_imports, argv,
                                                      unloaded):
         # modules that site loads on some machines, or that numpy loads, are
@@ -1038,7 +1091,8 @@ class TestPackaging:
         imported = imports_of(["-m", "polyads", "spectrum", "--model", str(FIXTURE),
                                "--pmax", "4"])
         assert "polyads.quantum" in imported
-        assert not imported & {"polyads.monomials", "polyads.counting"}
+        assert not imported & {"polyads.census", "polyads.monomials", "polyads.audit",
+                               "polyads.counting"}
 
     def test_quantum_names_load_on_access(self):
         from polyads import quantum
@@ -1050,16 +1104,17 @@ class TestPackaging:
             polyads.no_such_name
 
     def test_every_public_name_is_its_home_module_object(self):
-        from polyads import counting, model, monomials, quantum, resonance, spec, zpoly
+        from polyads import audit, counting, model, monomials, quantum, resonance, spec, zpoly
 
         assert polyads.totals is counting.totals
         assert polyads.GenMonomial is monomials.GenMonomial
+        assert polyads.audit_counting is audit.audit_counting is monomials.audit_counting
         assert polyads.cloh_model is model.cloh_model
         assert polyads.spectrum is quantum.spectrum
         assert polyads.ResonanceSpec is spec.ResonanceSpec
         assert polyads.ResonanceSpec is resonance.ResonanceSpec
         assert polyads.ZPolynomial is zpoly.ZPolynomial
-        modules = (counting, model, monomials, quantum, resonance, spec, zpoly)
+        modules = (audit, counting, model, monomials, quantum, resonance, spec, zpoly)
         for name in polyads.__all__:
             if name != "__version__":
                 assert any(vars(m).get(name) is getattr(polyads, name) for m in modules), name
@@ -1074,3 +1129,26 @@ class TestPackaging:
 
     def test_dir_lists_every_public_name(self):
         assert set(polyads.__all__) <= set(dir(polyads))
+
+
+class TestBenchmarkTracer:
+    def test_traced_census_steps_reach_every_bound_name(self, tmp_path):
+        # the tracer wraps and calls polyads functions by attribute name, so a
+        # name that moves without its binding reads 0 here
+        size = ["--n", "3", "--p", "2", "--q", "1", "--order", "10"]
+        steps = [["enumerate", *size, "--format", "json"], ["count", *size, "--format", "json"],
+                 ["audit", "--order", "10", "--p", "2", "--q", "1", "--kind", "3",
+                  "--format", "json"], ["verify-tables", "--format", "json"]]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"steps": [["cli", [*argv, "--out", str(tmp_path / str(i))]]
+                                              for i, argv in enumerate(steps)],
+                                    "probe_model": None}), encoding="utf-8")
+        tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        proc = subprocess.run([sys.executable, str(tracer), "--plan", str(plan), "--trace", "1"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+        assert proc.returncode == 0, proc.stderr
+        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+        assert metrics["monomials.couples"] > 0
+        assert metrics["monomials.audit_counting.s"] > 0
+        assert metrics["counting.cells"] == 124

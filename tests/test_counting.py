@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyads.audit import brute_force_delta1, brute_force_delta2
 from polyads.counting import (
     DELTA1_REFERENCE,
     DELTA2_REFERENCE,
@@ -22,7 +23,6 @@ from polyads.counting import (
     totals,
     verify_tables,
 )
-from polyads.monomials import brute_force_delta1, brute_force_delta2
 
 st_coprime = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
     lambda pq: math.gcd(*pq) == 1)

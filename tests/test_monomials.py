@@ -11,29 +11,33 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyads import monomials
-from polyads.counting import delta1_closed, delta2_closed, lambda_dunham, totals
-from polyads.monomials import (
+from polyads import census, monomials
+from polyads.audit import (
     CoupleC,
-    GenMonomial,
     MultiplicityAudit,
     audit_counting,
     brute_force_delta1,
     brute_force_delta2,
-    census_monomials,
-    check_census,
-    coupling_blocks,
     cumulative_multiplicity,
-    dunham_blocks,
-    enumerate_coupling,
-    enumerate_dunham,
     iter_couples,
     lambda_raw,
     lambda_raw_direct,
-    monomials_to_json,
-    sort_monomials,
+)
+from polyads.census import (
+    check_census,
+    coupling_blocks,
+    dunham_blocks,
     write_census_json,
     write_census_table,
+)
+from polyads.counting import delta1_closed, delta2_closed, lambda_dunham, totals
+from polyads.monomials import (
+    GenMonomial,
+    census_monomials,
+    enumerate_coupling,
+    enumerate_dunham,
+    monomials_to_json,
+    sort_monomials,
 )
 
 st_pq = st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3),
@@ -304,14 +308,14 @@ class DiscardSink:
 
 def census_rows(n):
     """The row builders of census_monomials, write_census_json and write_census_table."""
-    return monomials._tuple_row, monomials._text_row, monomials._label_row(n)
+    return monomials._tuple_row, census._text_row, census._label_row(n)
 
 
 def walk_blocks(n, blocks, row):
     """The suffix memo left by walking ``blocks`` with ``row`` as the census walks do."""
     memo: dict = {}
     for _, _, t, support in blocks:
-        for _ in monomials._prefix_chunks(n, t, support, memo, row):
+        for _ in census._prefix_chunks(n, t, support, memo, row):
             pass
     return memo
 
@@ -331,10 +335,10 @@ class TestCensusWriterMemory:
     @example(n=4, total=0, support=2)
     def test_suffix_rows_are_the_vectors(self, n, total, support):
         memo: dict = {}
-        rows = monomials._suffix_rows(n, total, support, memo, monomials._tuple_row)
+        rows = census._suffix_rows(n, total, support, memo, monomials._tuple_row)
         assert all(s <= length <= n for length, _, s in memo)
         if support >= n:  # clamped to the length, so it reads the same list
-            assert monomials._suffix_rows(n, total, support + 1, memo, None) is rows
+            assert census._suffix_rows(n, total, support + 1, memo, None) is rows
         oracle = sorted((v for v in itertools.product(range(total + 1), repeat=n)
                          if sum(v) == total and sum(map(bool, v)) <= support), reverse=True)
         assert rows == oracle
@@ -348,7 +352,7 @@ class TestCensusWriterMemory:
     @example(n=5, total=0, support=2)
     def test_prefixes_join_to_the_vectors(self, n, total, support):
         memo: dict = {}
-        pairs = list(monomials._prefix_chunks(n, total, support, memo, monomials._tuple_row))
+        pairs = list(census._prefix_chunks(n, total, support, memo, monomials._tuple_row))
         # two streamed entries where a suffix could hold over two nonzero ones
         levels = 2 if n > 3 and support > 2 else min(1, n - 1)
         assert all(len(prefix) == levels and rows for prefix, rows in pairs)
@@ -409,9 +413,9 @@ class TestCensusLimits:
         blocks = census_blocks(kind, n, N, *pq)
         records = len(json.loads(census_json(n, blocks)))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(monomials, "MAX_CENSUS_RECORDS", records)
+            patch.setattr(census, "MAX_CENSUS_RECORDS", records)
             check_census(n, blocks)
-            patch.setattr(monomials, "MAX_CENSUS_RECORDS", records - 1)
+            patch.setattr(census, "MAX_CENSUS_RECORDS", records - 1)
             with pytest.raises(ValueError, match=f"^census of {records} records is over"):
                 check_census(n, blocks)
 
@@ -426,7 +430,7 @@ class TestCensusLimits:
         held, = held
         assume(held)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(monomials, "MAX_CENSUS_ENTRIES", held - 1)
+            patch.setattr(census, "MAX_CENSUS_ENTRIES", held - 1)
             with pytest.raises(ValueError, match="exponent entries is over"):
                 check_census(n, blocks)
 
